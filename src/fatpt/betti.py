@@ -36,8 +36,7 @@ from .errors import InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME
 from .lattice import DivisorClass, FatPointScheme, binom2, class_of, intersect, line_class, point_class
 from .linsys import alpha_degree, decompose, expected_h0, expected_h1, fixed_part
-from .splitting import DEFAULT_SEED, SplittingType
-from .cokernel import splitting_of
+from .splitting import DEFAULT_SEED, SplittingType, splitting_of
 from .weyl import apply_word, is_exceptional, reduce
 
 EXACT = "Exact"

@@ -15,6 +15,12 @@ environment fallbacks) produce byte-identical reports. Every JSON report
 embeds the prime and seed it used, the list of classes whose splitting type
 came from the randomized pipeline ("provisional"), and whether the values
 rest on the dimension conjectures ("conjectural").
+
+``sweep`` classifies its classes in one thread: the splitting pipeline is
+pure-Python work that holds the interpreter lock, and a thread pool there ran
+slower than a plain loop on two cores. ``--jobs`` sizes only the pool of
+``--verify``, whose numpy eliminations release the lock. Reports are
+byte-identical under ``--jobs N`` for any N.
 """
 
 from __future__ import annotations
@@ -27,25 +33,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .betti import assemble_resolution
-from .cokernel import DEFAULT_COLUMN_CEILING, cok_dimension, splitting_of
+from .cokernel import DEFAULT_COLUMN_CEILING, cok_dimension
 from .errors import ConjectureViolation, InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME, PrimeField
-from .lattice import (
-    format_class,
-    format_mults,
-    intersect,
-    line_class,
-    parse_class,
-    parse_mults,
-)
+from .lattice import format_class, format_mults, parse_class, parse_mults
 from .linsys import decompose, hilbert, sanity_check_decomposition
 from .splitting import (
     DEFAULT_SEED,
-    compute_splitting,
-    derive_seed,
     forced_type,
     predict_report,
     split_bounds,
+    splitting_of,
+    splitting_type,
 )
 from .weyl import enumerate_exceptional, format_word
 from . import weyl
@@ -58,7 +57,6 @@ class JobSpec:
     """Everything that determines a report byte for byte."""
 
     command: str
-    spec: str | None
     degrees: tuple[int, int] | None
     prime: int
     seed: int
@@ -112,7 +110,6 @@ def _resolve_job(args) -> JobSpec:
         raise InputError(f"--format tsv: not available for {args.command}")
     return JobSpec(
         command=args.command,
-        spec=getattr(args, "mults", None) or getattr(args, "cls", None),
         degrees=degrees,
         prime=prime,
         seed=seed,
@@ -132,14 +129,6 @@ def _value_cell(v) -> str:
 
 def _value_json(v):
     return list(v) if isinstance(v, tuple) else v
-
-
-def _split_type(e, job: JobSpec):
-    d = intersect(e, line_class(e.n))
-    st = forced_type(d, max(e.m))
-    if st is not None:
-        return st, False
-    return compute_splitting(e, job.prime, derive_seed(job.seed, 757), job.trials), True
 
 
 def _base_report(job: JobSpec, conjectural: bool, provisional=()) -> dict:
@@ -266,7 +255,7 @@ def _cmd_decompose(args, job: JobSpec):
 def _cmd_split(args, job: JobSpec):
     e = parse_class(args.cls)
     bounds = split_bounds(e)
-    st, provisional = _split_type(e, job)
+    st, provisional = splitting_of(e, job.prime, job.seed, job.trials)
     report = _base_report(job, conjectural=False, provisional=(e,) if provisional else ())
     report.update(
         {
@@ -362,29 +351,18 @@ def _cmd_enumerate(args, job: JobSpec):
     return report, tsv, 0
 
 
-def _sweep_classify(e, job: JobSpec):
-    """(splitting, provisional, guaranteed): forced types and near-balanced
-    types are covered by the proven multiplication-rank cases."""
-    st = forced_type(e.t, max(e.m))
-    if st is not None:
-        return st, False, True
-    st = compute_splitting(e, job.prime, derive_seed(job.seed, 757), job.trials)
-    return st, True, st.b - st.a <= 2
-
-
 def _cmd_sweep(args, job: JobSpec):
     classes = enumerate_exceptional(args.max_degree)
-    jobs = args.jobs or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        classified = list(pool.map(lambda e: _sweep_classify(e, job), classes))
-
     escapes = []
     provisional = []
-    for e, (st, prov, guaranteed) in zip(classes, classified):
+    for e in classes:
+        st, prov = splitting_of(e, job.prime, job.seed, job.trials)
+        # Forced and near-balanced types are covered by the proven
+        # multiplication-rank cases; the rest escape.
         if prov:
             provisional.append(e)
-        if not guaranteed:
-            escapes.append((e, st))
+            if st.b - st.a > 2:
+                escapes.append((e, st))
     rows = [
         {"class": format_class(e), "degree": e.t, "a": st.a, "b": st.b}
         for e, st in escapes
@@ -404,7 +382,9 @@ def _cmd_sweep(args, job: JobSpec):
         def verify_one(item):
             e, st = item
             try:
-                v = cok_dimension(e, st.b, job.prime, job.seed, "formula", job.ceiling)
+                v = cok_dimension(
+                    e, st.b, job.prime, job.seed, "formula", job.ceiling, job.trials
+                )
                 return {
                     "class": format_class(e),
                     "m": st.b,
@@ -415,6 +395,7 @@ def _cmd_sweep(args, job: JobSpec):
             except InfeasibleError as exc:
                 return {"class": format_class(e), "m": st.b, "skipped": str(exc)}
 
+        jobs = args.jobs or min(8, os.cpu_count() or 1)
         done = 0
         verification = []
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -506,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-degree", type=int, required=True)
     s.add_argument("--verify", action="store_true", help="check escapes at m = b")
     s.add_argument("--trials", type=int, default=3)
-    s.add_argument("--jobs", type=int, default=None, help="worker pool size")
+    s.add_argument("--jobs", type=int, default=None, help="thread pool size for --verify")
     s.add_argument("--ceiling", type=int, default=DEFAULT_COLUMN_CEILING)
     _add_common(s, fmt=True)
 
@@ -514,7 +495,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse, dispatch, print the report; returns the exit code."""
+    """Parse, dispatch, print the report; returns the exit code. Splitting
+    types are memoized within one request only."""
+    splitting_type.cache_clear()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -41,7 +41,7 @@ from .errors import DegenerateConfiguration, InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME, FpMatrix, PrimeField
 from .lattice import DivisorClass, FatPointScheme, binom2, class_of, intersect, line_class, point_class
 from .linsys import expected_h0
-from .splitting import DEFAULT_SEED, RETRY_CAP, SplittingType, compute_splitting, derive_seed, forced_type
+from .splitting import DEFAULT_SEED, RETRY_CAP, SplittingType, derive_seed, splitting_of
 from .weyl import WeylWord, apply_word, reduce
 
 DEFAULT_COLUMN_CEILING = 16000
@@ -69,23 +69,6 @@ def h1_mE(m: int, t: int) -> int:
     if s <= m:
         return binom2(s)
     return s * m - m * (m + 1) // 2
-
-
-@dataclass(frozen=True)
-class InfNbhdCohomology:
-    """h^0/h^1 of the m-th infinitesimal neighborhood of a point on a line,
-    twisted by t."""
-
-    m: int
-    t: int
-
-    @property
-    def h0(self) -> int:
-        return h0_mE(self.m, self.t)
-
-    @property
-    def h1(self) -> int:
-        return h1_mE(self.m, self.t)
 
 
 def monomial_exponents(d: int) -> np.ndarray:
@@ -224,18 +207,6 @@ def predicted_cokernel(m: int, st: SplittingType) -> int:
     return binom2(m - st.b) + binom2(m - st.a)
 
 
-def splitting_of(
-    e: DivisorClass, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED
-) -> tuple[SplittingType, bool]:
-    """(type, provisional): closed form when forced, else the randomized
-    pipeline (marked provisional)."""
-    d = intersect(e, line_class(e.n))
-    st = forced_type(d, max(e.m))
-    if st is not None:
-        return st, False
-    return compute_splitting(e, p, derive_seed(seed, 757)), True
-
-
 def reduction_to_point(e: DivisorClass) -> WeylWord:
     """A word sending e to E_1 (Cremona reduction plus slot swaps)."""
     r = reduce(e)
@@ -336,8 +307,11 @@ def cok_dimension(
     seed=DEFAULT_SEED,
     method: str = "formula",
     ceiling: int = DEFAULT_COLUMN_CEILING,
+    trials: int = 3,
 ) -> MuVerdict:
-    """Computed and predicted dim coker mu for the system L + mE."""
+    """Computed and predicted dim coker mu for the system L + mE; the
+    prediction uses the splitting type from ``trials`` randomized draws when
+    the type is not forced."""
     PrimeField(p)
     from .weyl import is_exceptional
 
@@ -350,7 +324,7 @@ def cok_dimension(
         raise InputError(f"m must satisfy 0 <= m <= degree {d}, got {m}")
     if method not in ("formula", "oracle"):
         raise InputError(f"unknown method {method!r}")
-    st, provisional = splitting_of(e, p, seed)
+    st, provisional = splitting_of(e, p, seed, trials)
     predicted = predicted_cokernel(m, st)
     if m == 0:
         computed = 0

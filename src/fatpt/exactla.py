@@ -38,7 +38,7 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field F_p for an odd prime 2 < p < 2**31."""
+    """The characteristic p of F_p, validated: an odd prime 2 < p < 2**31."""
 
     p: int = DEFAULT_PRIME
 
@@ -47,27 +47,6 @@ class PrimeField:
             raise InputError(f"prime must satisfy 2 < p < 2**31, got {self.p}")
         if not is_prime(self.p):
             raise InputError(f"{self.p} is not prime")
-
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
 
 class FpMatrix:
@@ -120,10 +99,6 @@ def _strip(coeffs: list[int]) -> tuple[int, int]:
     lo = next(i for i, c in enumerate(coeffs) if c)
     hi = max(i for i, c in enumerate(coeffs) if c)
     return lo, hi
-
-
-def _poly_mod(coeffs, p):
-    return [c % p for c in coeffs]
 
 
 def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:

@@ -69,9 +69,6 @@ class DivisorClass:
     def __rmul__(self, k: int) -> "DivisorClass":
         return DivisorClass(k * self.t, tuple(k * a for a in self.m))
 
-    def sorted_desc(self) -> "DivisorClass":
-        return DivisorClass(self.t, tuple(sorted(self.m, reverse=True)))
-
     def __str__(self) -> str:
         return format_class(self)
 

@@ -22,7 +22,6 @@ from .errors import InputError
 from .lattice import (
     DivisorClass,
     FatPointScheme,
-    binom2,
     canonical_class,
     chi,
     class_of,

@@ -20,6 +20,13 @@ computation over one prime: results are correct for the drawn configuration
 but only provisional as statements about the generic curve, and reports label
 them so.
 
+``splitting_type`` is the single place that decides between the two: the
+closed form when the degree forces the type, else ``compute_splitting``
+(marked provisional). It is memoized per (class, prime, seed, trials); the
+command line clears the memo at the start of every request. ``splitting_of``
+is the same decision under the seed rule shared by the commands and the
+cokernel and Betti layers.
+
 ``predict_splitting`` is the deterministic conjecture: among the allowed
 (a, b) it returns the most balanced pair whose genus-like score
 (a-1)(a-2)/2 + (b-1)(b-2)/2 is at least the defect sum of the conjugate point
@@ -30,13 +37,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConjectureViolation, DegenerateConfiguration, InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME, BinaryForm, PrimeField, form_divexact, form_gcd, min_syzygy_degree
 from .lattice import DivisorClass, binom2, intersect, line_class, selfint
-from .weyl import CREMONA, WeylWord, apply_word, exceptional_points, is_exceptional, line_reduction, orbit_of_line
+from .weyl import CREMONA, WeylWord, exceptional_points, is_exceptional, line_reduction, orbit_of_line
 
 DEFAULT_SEED = 20260814
 RETRY_CAP = 10
@@ -268,18 +276,34 @@ def compute_splitting(
     return votes.most_common(1)[0][0]
 
 
+@lru_cache(maxsize=None)
+def splitting_type(e: DivisorClass, p: int, seed, trials: int = 3) -> tuple[SplittingType, bool]:
+    """(type, provisional): the closed form when the degree forces the type,
+    else ``compute_splitting`` with this exact seed (marked provisional)."""
+    d = intersect(e, line_class(e.n))
+    st = forced_type(d, max(e.m))
+    if st is not None:
+        return st, False
+    return compute_splitting(e, p, seed, trials), True
+
+
+def splitting_of(
+    e: DivisorClass, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED, trials: int = 3
+) -> tuple[SplittingType, bool]:
+    """``splitting_type`` under the seed rule of the commands, the cokernel
+    verifier and the Betti assembly: the randomized draws use
+    derive_seed(seed, 757)."""
+    return splitting_type(e, p, derive_seed(seed, 757), trials)
+
+
 def _type_of_conjugate(
     c: DivisorClass, p: int, seed, trials: int
 ) -> tuple[SplittingType, bool]:
-    """(type, was_computed) for one conjugate point class; degree-0 classes
+    """(type, provisional) for one conjugate point class; degree-0 classes
     contribute the zero type."""
-    d = intersect(c, line_class(c.n))
-    if d == 0:
+    if intersect(c, line_class(c.n)) == 0:
         return SplittingType(0, 0), False
-    forced = forced_type(d, max(c.m))
-    if forced is not None:
-        return forced, False
-    return compute_splitting(c, p, seed, trials), True
+    return splitting_type(c, p, seed, trials)
 
 
 def defect_sum(

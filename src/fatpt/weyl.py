@@ -31,13 +31,6 @@ NEG_LINE = "NegLine"
 IN_CHAMBER = "InChamber"
 
 
-def swap(i: int) -> int:
-    """Generator exchanging multiplicity slots i and i+1 (1-based)."""
-    if i < 1:
-        raise InputError(f"swap index must be >= 1, got {i}")
-    return i
-
-
 @dataclass(frozen=True)
 class WeylWord:
     """A word in the generators, applied left to right.

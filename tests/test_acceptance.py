@@ -7,7 +7,6 @@ Frozen inputs are the worked examples used across the test suite; tolerances
 
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -26,7 +25,6 @@ from fatpt.lattice import (
     FatPointScheme,
     class_of,
     intersect,
-    line_class,
     parse_class,
 )
 from fatpt.linsys import (
@@ -38,11 +36,10 @@ from fatpt.linsys import (
 )
 from fatpt.splitting import (
     SplittingType,
-    compute_splitting,
     defect_sum,
     derive_seed,
-    forced_type,
     predict_report,
+    splitting_of,
 )
 from fatpt.weyl import (
     CREMONA,
@@ -193,21 +190,11 @@ def test_criterion_4_resolution_nine_points(criterion):
 
 def _classify_escapes(master: int):
     classes = enumerate_exceptional(20)
-
-    def one(e):
-        d = intersect(e, line_class(e.n))
-        st = forced_type(d, max(e.m))
-        if st is None:
-            st = compute_splitting(e, PRIME, derive_seed(master, 757), 3)
-            return st, False
-        return st, True
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        typed = list(pool.map(one, classes))
+    typed = [splitting_of(e, PRIME, master, 3) for e in classes]
     escapes = {
         (st.a, st.b, e.t, e.m)
-        for e, (st, forced) in zip(classes, typed)
-        if not forced and st.b - st.a > 2
+        for e, (st, provisional) in zip(classes, typed)
+        if provisional and st.b - st.a > 2
     }
     return classes, escapes
 

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from fatpt import splitting
 from fatpt.cli import run
 from fatpt.cokernel import MuVerdict
-from fatpt.lattice import parse_class
+from fatpt.lattice import format_class, parse_class
 from fatpt.splitting import SplittingType
 
 
@@ -175,10 +176,46 @@ def test_sweep_small_all_guaranteed(capsys):
 
 
 def test_sweep_deterministic_across_jobs(capsys):
-    assert run(["sweep", "--max-degree", "6", "--jobs", "1"]) == 0
+    # Degree 15 has three escapes, so --verify runs them through the pool.
+    argv = ["sweep", "--max-degree", "15", "--verify"]
+    assert run(argv + ["--jobs", "1"]) == 0
     first = capsys.readouterr().out
-    assert run(["sweep", "--max-degree", "6", "--jobs", "4"]) == 0
+    assert len(json.loads(first)["verification"]) == 3
+    assert run(argv + ["--jobs", "4"]) == 0
     second = capsys.readouterr().out
+    assert first == second
+
+
+def _count_splittings(monkeypatch):
+    calls = []
+    original = splitting.compute_splitting
+
+    def counted(e, p, seed, trials):
+        calls.append((e, trials))
+        return original(e, p, seed, trials)
+
+    monkeypatch.setattr(splitting, "compute_splitting", counted)
+    return calls
+
+
+def test_sweep_verify_splits_each_class_once(capsys, monkeypatch):
+    calls = _count_splittings(monkeypatch)
+    code, rep = run_json(
+        capsys, ["sweep", "--max-degree", "15", "--trials", "1", "--verify"]
+    )
+    assert code == 0
+    assert rep["verification"]
+    assert sorted(format_class(e) for e, _ in calls) == sorted(rep["provisional"])
+    assert {trials for _, trials in calls} == {1}
+
+
+def test_splitting_memo_cleared_per_request(capsys, monkeypatch):
+    calls = _count_splittings(monkeypatch)
+    argv = ["split", "--class", "13;5,5,5,5,5,5,4,1,1,1,1"]
+    _, first = run_json(capsys, argv)
+    assert len(calls) == 1
+    _, second = run_json(capsys, argv)
+    assert len(calls) == 2
     assert first == second
 
 
