@@ -16,11 +16,12 @@ embeds the prime and seed it used, the list of classes whose splitting type
 came from the randomized pipeline ("provisional"), and whether the values
 rest on the dimension conjectures ("conjectural").
 
-``sweep`` classifies its classes in one thread: the splitting pipeline is
-pure-Python work that holds the interpreter lock, and a thread pool there ran
-slower than a plain loop on two cores. ``--jobs`` sizes only the pool of
-``--verify``, whose numpy eliminations release the lock. Reports are
-byte-identical under ``--jobs N`` for any N.
+``sweep --jobs`` sizes the thread pool of both of its phases. Classification
+is pure-Python work that holds the interpreter lock: a plain loop there ran
+faster on two cores but its time followed the speed of the one core it ran
+on, while the pool's time stayed steady. The numpy eliminations of
+``--verify`` release the lock. Reports are byte-identical under ``--jobs N``
+for any N.
 """
 
 from __future__ import annotations
@@ -353,10 +354,14 @@ def _cmd_enumerate(args, job: JobSpec):
 
 def _cmd_sweep(args, job: JobSpec):
     classes = enumerate_exceptional(args.max_degree)
+    jobs = args.jobs or min(8, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        classified = list(
+            pool.map(lambda e: splitting_of(e, job.prime, job.seed, job.trials), classes)
+        )
     escapes = []
     provisional = []
-    for e in classes:
-        st, prov = splitting_of(e, job.prime, job.seed, job.trials)
+    for e, (st, prov) in zip(classes, classified):
         # Forced and near-balanced types are covered by the proven
         # multiplication-rank cases; the rest escape.
         if prov:
@@ -395,7 +400,6 @@ def _cmd_sweep(args, job: JobSpec):
             except InfeasibleError as exc:
                 return {"class": format_class(e), "m": st.b, "skipped": str(exc)}
 
-        jobs = args.jobs or min(8, os.cpu_count() or 1)
         done = 0
         verification = []
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -487,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-degree", type=int, required=True)
     s.add_argument("--verify", action="store_true", help="check escapes at m = b")
     s.add_argument("--trials", type=int, default=3)
-    s.add_argument("--jobs", type=int, default=None, help="thread pool size for --verify")
+    s.add_argument("--jobs", type=int, default=None, help="worker pool size")
     s.add_argument("--ceiling", type=int, default=DEFAULT_COLUMN_CEILING)
     _add_common(s, fmt=True)
 
