@@ -353,6 +353,8 @@ def _cmd_enumerate(args, job: JobSpec):
 
 
 def _cmd_sweep(args, job: JobSpec):
+    if args.jobs is not None and args.jobs < 1:
+        raise InputError(f"--jobs {args.jobs}: the pool needs at least one worker")
     classes = enumerate_exceptional(args.max_degree)
     jobs = args.jobs or min(8, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=jobs) as pool:

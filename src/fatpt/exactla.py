@@ -38,7 +38,12 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The characteristic p of F_p, validated: an odd prime 2 < p < 2**31."""
+    """The characteristic p of F_p, validated: an odd prime 2 < p < 2**31.
+
+    Below 2**31 one product of residues fits int64, but a sum of three does
+    not; int64 code reduces each product, or sums k of them only while
+    k*(p-1)**2 < 2**63.
+    """
 
     p: int = DEFAULT_PRIME
 
@@ -194,7 +199,9 @@ class BinaryForm:
         if self.is_zero or other.is_zero:
             return BinaryForm.zero(self.p)
         a, b = self.coeffs, other.coeffs
-        if len(a) >= 16 and len(b) >= 16:
+        # Each int64 convolution entry sums up to min(len) products below p**2.
+        n = min(len(a), len(b))
+        if n >= 16 and n * (self.p - 1) ** 2 < 2**63:
             out = np.convolve(
                 np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
             )
@@ -269,8 +276,12 @@ def min_syzygy_degree(f0: BinaryForm, f1: BinaryForm, f2: BinaryForm) -> int:
 
     The f_i must be three nonzero forms of one common degree d with trivial
     common gcd (a common factor would shift every syzygy and is rejected).
-    For such a triple coming from a parametrized plane curve the Hilbert-Burch
-    resolution forces e <= floor(d/2), which bounds the scan.
+    For such a triple the ideal (f0, f1, f2) has finite colength, so by
+    Hilbert-Burch its syzygy module is free, R(-a) + R(-b) with a + b = d
+    (in geometric-modeling terms, the mu-basis of the parametrization). The
+    syzygies of degree e then span max(0, e-a+1) + max(0, e-b+1) dimensions.
+    At e = floor((d-1)/2) the second term vanishes because b >= d/2 > e, so
+    one rank there gives a = e + 1 - nullity, or a = d/2 when the nullity is 0.
     """
     forms = (f0, f1, f2)
     if any(f.is_zero for f in forms):
@@ -283,14 +294,19 @@ def min_syzygy_degree(f0: BinaryForm, f1: BinaryForm, f2: BinaryForm) -> int:
     g01 = form_gcd(f0, f1)
     if not form_gcd(g01, f2).degree == 0:
         raise InputError("forms share a common factor; divide it out first")
-    p = f0.p
-    for e in range(0, d // 2 + 1):
-        m = np.zeros((d + e + 1, 3 * (e + 1)), dtype=np.int64)
-        for idx, f in enumerate(forms):
-            for k in range(e + 1):
-                col = idx * (e + 1) + k
-                for j, c in enumerate(f.coeffs):
-                    m[j + k, col] = c
-        if _kernels.rank(m, p) < 3 * (e + 1):
-            return e
-    raise AssertionError("no syzygy found up to floor(d/2); input is inconsistent")
+    if d == 0:
+        return 0
+    e = (d - 1) // 2
+    m = np.zeros((d + e + 1, 3 * (e + 1)), dtype=np.int64)
+    for idx, f in enumerate(forms):
+        coeffs = np.asarray(f.coeffs, dtype=np.int64)
+        for k in range(e + 1):
+            m[k : k + d + 1, idx * (e + 1) + k] = coeffs
+    nullity = 3 * (e + 1) - _kernels.rank(m, f0.p)
+    a = e + 1 - nullity if nullity else d // 2
+    if not 0 <= a <= d // 2 or (nullity == 0 and d % 2):
+        raise AssertionError(
+            f"syzygy nullity {nullity} at degree {e} is impossible for coprime "
+            f"forms of degree {d}; input is inconsistent"
+        )
+    return a

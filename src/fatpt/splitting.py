@@ -169,12 +169,13 @@ def _replay_points(word: WeylWord, pts: np.ndarray, p: int) -> tuple[np.ndarray,
         m = pts[:3].T % p
         minv = _inv3(m, p)
         mats.append(m)
-        for j in range(3, pts.shape[0]):
-            y = minv @ pts[j] % p
-            q = np.array([y[1] * y[2], y[0] * y[2], y[0] * y[1]], dtype=np.int64) % p
-            if not q.any():
-                raise DegenerateConfiguration("point collides with a Cremona center")
-            pts[j] = q
+        # Each product is reduced before the sum: three products below p**2
+        # overflow int64 for p near 2**31.
+        y = (pts[3:, None, :] * minv % p).sum(axis=2) % p
+        q = np.stack([y[:, 1] * y[:, 2], y[:, 0] * y[:, 2], y[:, 0] * y[:, 1]], axis=1) % p
+        if not q.any(axis=1).all():
+            raise DegenerateConfiguration("point collides with a Cremona center")
+        pts[3:] = q
         pts[0] = (1, 0, 0)
         pts[1] = (0, 1, 0)
         pts[2] = (0, 0, 1)
@@ -315,11 +316,19 @@ def defect_sum(
 ) -> int:
     """sum_i binom2(a_i) + binom2(b_i) over the splitting types of the
     conjugate point classes w(E_1), ..., w(E_n)."""
+    return _defect_pass(w, n, p, seed, trials)[0]
+
+
+def _defect_pass(w: WeylWord, n: int, p: int, seed, trials: int) -> tuple[int, bool]:
+    """(defect sum, whether any conjugate type came from the randomized
+    pipeline), in one walk over the conjugate point classes."""
     total = 0
+    provisional = False
     for i, c in enumerate(exceptional_points(w, n)):
-        st, _ = _type_of_conjugate(c, p, derive_seed(seed, 101, i), trials)
+        st, prov = _type_of_conjugate(c, p, derive_seed(seed, 101, i), trials)
         total += binom2(st.a) + binom2(st.b)
-    return total
+        provisional = provisional or prov
+    return total, provisional
 
 
 @dataclass(frozen=True)
@@ -364,13 +373,7 @@ def predict_report(
     cands = candidate_pairs(d, m)
     if len(cands) == 1:
         return SplitPrediction(cands[0], 0, _score(cands[0]), (), False)
-    provisional = False
-    for i, cl in enumerate(exceptional_points(w, c.n)):
-        dd = intersect(cl, line_class(c.n))
-        if dd > 0 and forced_type(dd, max(cl.m)) is None:
-            provisional = True
-            break
-    ds = defect_sum(w, c.n, p, seed, trials)
+    ds, provisional = _defect_pass(w, c.n, p, seed, trials)
     feasible = [st for st in cands if _score(st) >= ds]
     if not feasible:
         raise ConjectureViolation(

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fatpt
 from fatpt import splitting
 from fatpt.cli import run
 from fatpt.cokernel import MuVerdict
@@ -271,3 +275,20 @@ def test_progress_stays_on_stderr(capsys):
     out, err = capsys.readouterr()
     assert code == 0
     json.loads(out)  # stdout is a clean report even with --verify progress
+
+
+@pytest.mark.parametrize("jobs", ["-1", "0"])
+def test_sweep_rejects_jobs_below_one(jobs):
+    src = os.path.dirname(os.path.dirname(fatpt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fatpt", "sweep", "--max-degree", "3", "--jobs", jobs],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--jobs" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fatpt.errors import InputError
@@ -8,13 +9,15 @@ from fatpt.splitting import (
     compute_splitting,
     defect_sum,
     derive_seed,
+    draw_points,
     forced_type,
     parametrize,
     predict_report,
     predict_splitting,
     split_bounds,
+    _replay_points,
 )
-from fatpt.weyl import enumerate_exceptional, orbit_of_line
+from fatpt.weyl import CREMONA, WeylWord, enumerate_exceptional, exceptional_points, orbit_of_line
 
 
 def test_candidate_pairs_frozen():
@@ -131,6 +134,71 @@ def test_predict_forced_is_exact():
     assert rep.defect == 0
     assert not rep.provisional
     assert predict_splitting(line_class(0)) == SplittingType(0, 1)
+
+
+def test_predict_report_provisional_flag():
+    # provisional exactly when some conjugate point class of positive degree
+    # has no forced type
+    seen = set()
+    for e in enumerate_exceptional(13):
+        ones = [i for i, v in enumerate(e.m) if v == 1]
+        if len(ones) < 2:
+            continue
+        c = DivisorClass(e.t, tuple(v for i, v in enumerate(e.m) if i not in ones[-2:]))
+        w = orbit_of_line(c)
+        if w is None or len(candidate_pairs(c.t, max(c.m) if c.n else 0)) == 1:
+            continue
+        degrees = [(intersect(cl, line_class(c.n)), cl) for cl in exceptional_points(w, c.n)]
+        expected = any(dd > 0 and forced_type(dd, max(cl.m)) is None for dd, cl in degrees)
+        assert predict_report(e, trials=1).provisional == expected, e
+        seen.add(expected)
+    assert seen == {False, True}
+
+
+def _replay_points_reference(word, pts, p):
+    """_replay_points in Python integers, one point at a time."""
+    pts = [list(map(int, row)) for row in pts]
+    mats = []
+    for op in word.ops:
+        if op != CREMONA:
+            pts[op - 1], pts[op] = pts[op], pts[op - 1]
+            continue
+        m = [[pts[c][r] % p for c in range(3)] for r in range(3)]
+        (a, b, c), (d, e, f), (g, h, i) = m
+        det = (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
+        adj = [
+            [e * i - f * h, c * h - b * i, b * f - c * e],
+            [f * g - d * i, a * i - c * g, c * d - a * f],
+            [d * h - e * g, b * g - a * h, a * e - b * d],
+        ]
+        inv = pow(det, p - 2, p)
+        minv = [[v * inv % p for v in row] for row in adj]
+        mats.append(m)
+        for j in range(3, len(pts)):
+            y = [sum(minv[r][k] * pts[j][k] for k in range(3)) % p for r in range(3)]
+            pts[j] = [y[1] * y[2] % p, y[0] * y[2] % p, y[0] * y[1] % p]
+        pts[:3] = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    return pts, mats
+
+
+def test_replay_points_at_largest_prime():
+    p = 2**31 - 1
+    rng = np.random.default_rng(29)
+    n = 14
+    # 40 Cremonas, each transporting 11 points. Before each one, three
+    # points from rows 6.. move to the front, so the Cremona matrix is never
+    # close to the identity left by the previous one.
+    ops = []
+    for _ in range(40):
+        for _ in range(3):
+            ops += range(int(rng.integers(6, n)), 0, -1)
+        ops.append(CREMONA)
+    word = WeylWord(tuple(ops))
+    pts = draw_points(n, p, seed=31).as_array()
+    got, mats = _replay_points(word, pts, p)
+    ref, ref_mats = _replay_points_reference(word, pts, p)
+    assert got.tolist() == ref
+    assert [m.tolist() for m in mats] == ref_mats
 
 
 def test_predict_rejects_bad_input():
