@@ -1,21 +1,14 @@
-"""Dense row reduction over a prime field, with two interchangeable backends.
+"""Dense row reduction over a prime field.
 
 The hot loop of the whole package is Gaussian elimination of integer matrices
 mod p (interpolation matrices for fat point schemes get large: thousands of
-rows and columns). Two implementations live here:
+rows and columns). ``rref`` does it with one vectorized outer-product update
+per pivot.
 
-* a numba ``@njit`` kernel (row elimination parallelized over rows), and
-* a pure-numpy fallback using one vectorized outer-product update per pivot.
-
-Both use the identical deterministic pivot rule (first nonzero entry in
-column-major order, scanning rows top-down), so ranks, pivot columns and
-reduced echelon forms agree bit for bit between backends.
-
-Backend selection, in order:
-
-1. ``FATPT_BACKEND=numpy`` forces the fallback; ``FATPT_BACKEND=numba``
-   requires numba and raises if it cannot be imported.
-2. Otherwise numba is used when importable, numpy when not.
+The pivot rule is deterministic (first nonzero entry in column order,
+scanning rows top-down), so ranks, pivot columns and reduced echelon forms
+are reproducible bit for bit; ``nullspace`` reads its canonical basis off
+that form.
 
 Entries are int64 and every product is reduced immediately, so any modulus
 below 2**31 is overflow-safe (|a - f*b| < p**2 + p < 2**63).
@@ -23,32 +16,15 @@ below 2**31 is overflow-safe (|a - f*b| < p**2 + p < 2**63).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
 
-    HAS_NUMBA = True
-except ImportError:
-    numba = None
-    HAS_NUMBA = False
+def rref(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """Reduce ``a`` in place to reduced row echelon form mod p.
 
-_ENV = os.environ.get("FATPT_BACKEND", "").strip().lower()
-if _ENV not in ("", "numba", "numpy"):
-    raise RuntimeError(f"FATPT_BACKEND must be 'numba' or 'numpy', got {_ENV!r}")
-if _ENV == "numba" and not HAS_NUMBA:
-    raise RuntimeError("FATPT_BACKEND=numba but numba is not importable")
-
-USE_NUMBA = HAS_NUMBA if _ENV == "" else (_ENV == "numba")
-
-
-def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
-
-
-def _rref_numpy(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    Returns (rank, pivot column indices). ``a`` must be int64, 2d,
+    C-contiguous, with entries already in [0, p).
+    """
     rows, cols = a.shape
     pivots = np.empty(min(rows, cols), dtype=np.int64)
     r = 0
@@ -73,79 +49,6 @@ def _rref_numpy(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     return r, pivots[:r]
 
 
-if HAS_NUMBA:
-
-    @numba.njit(cache=True, inline="always")
-    def _powmod(base, exp, p):  # pragma: no cover - exercised via _rref_numba
-        result = 1
-        b = base % p
-        e = exp
-        while e > 0:
-            if e & 1:
-                result = result * b % p
-            b = b * b % p
-            e >>= 1
-        return result
-
-    @numba.njit(cache=True, parallel=True)
-    def _rref_numba(a, p):  # pragma: no cover - compiled
-        rows, cols = a.shape
-        pivots = np.empty(min(rows, cols), dtype=np.int64)
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            piv = -1
-            for i in range(r, rows):
-                if a[i, c] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for j in range(c, cols):
-                    tmp = a[r, j]
-                    a[r, j] = a[piv, j]
-                    a[piv, j] = tmp
-            inv = _powmod(a[r, c], p - 2, p)
-            for j in range(c, cols):
-                a[r, j] = a[r, j] * inv % p
-            for i in numba.prange(rows):
-                if i != r and a[i, c] != 0:
-                    f = a[i, c]
-                    for j in range(c, cols):
-                        a[i, j] = (a[i, j] - f * a[r, j]) % p
-            pivots[r] = c
-            r += 1
-        return r, pivots[:r]
-
-
-def rref(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
-    """Reduce ``a`` in place to reduced row echelon form mod p.
-
-    Returns (rank, pivot column indices). ``a`` must be int64, 2d,
-    C-contiguous, with entries already in [0, p).
-    """
-    if a.size == 0:
-        return 0, np.empty(0, dtype=np.int64)
-    if USE_NUMBA:
-        rank, piv = _rref_numba(a, p)
-        return int(rank), piv
-    return _rref_numpy(a, p)
-
-
-def rref_using(a: np.ndarray, p: int, backend: str) -> tuple[int, np.ndarray]:
-    """rref with an explicit backend, for cross-checks and benchmarks."""
-    if backend == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend unavailable")
-        rank, piv = _rref_numba(a, p)
-        return int(rank), piv
-    if backend == "numpy":
-        return _rref_numpy(a, p)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 def rank(a: np.ndarray, p: int) -> int:
     """Rank of ``a`` mod p; ``a`` is not modified."""
     work = np.ascontiguousarray(a, dtype=np.int64) % p
@@ -160,20 +63,30 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     vector per free column (ascending), with a 1 in the free position. A
     matrix with zero rows yields the identity.
     """
-    a = np.ascontiguousarray(a, dtype=np.int64) % p
-    rows, cols = a.shape
-    if rows == 0 or a.size == 0:
-        return np.eye(cols, dtype=np.int64)
-    work = a.copy()
+    work = np.ascontiguousarray(a, dtype=np.int64) % p
+    cols = work.shape[1]
     r, piv = rref(work, p)
-    pivset = set(int(c) for c in piv)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for row in range(r):
-            pc = int(piv[row])
-            v = int(work[row, fc])
-            if v:
-                basis[k, pc] = (-v) % p
+    is_free = np.ones(cols, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, piv] = (-work[:r, free].T) % p
     return basis
+
+
+# The benchmark harness (perfbench/run.py, perfbench/elimination.py) still
+# reads these three names from the time a numba backend existed; they stay
+# until it stops. There is one backend.
+HAS_NUMBA = False
+
+
+def backend_name() -> str:
+    return "numpy"
+
+
+def rref_using(a: np.ndarray, p: int, backend: str) -> tuple[int, np.ndarray]:
+    """``rref`` under a named backend; only "numpy" exists."""
+    if backend != "numpy":
+        raise ValueError(f"unknown backend {backend!r}")
+    return rref(a, p)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from .cokernel import predicted_cokernel
 from .errors import InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME
 from .lattice import DivisorClass, FatPointScheme, binom2, class_of, intersect, line_class, point_class
@@ -113,6 +114,34 @@ def _component_conjectural(k: int, st: SplittingType, d: int, m_max: int) -> boo
     return k > st.a + 2 and st.b - st.a > 2 and st.a != d - m_max
 
 
+def _price_components(comps, base: DivisorClass, p: int, seed):
+    """Price fixed components (C_j, c_j) through their splitting types.
+
+    Clips each exponent at k_j = min(c_j, L.C_j) and returns (total, clipped,
+    info, provisional, flag): total = sum_j binom2(k_j - a_j) + binom2(k_j - b_j),
+    clipped = base + sum_j k_j C_j, info the (C_j, c_j, k_j, type) rows, and
+    flag CONJECTURAL when some component leaves the proven range.
+    """
+    lcls = line_class(base.n)
+    total = 0
+    clipped = base
+    info = []
+    prov = []
+    conjectural = False
+    for cls, c in comps:
+        d = intersect(lcls, cls)
+        st, provisional = splitting_of(cls, p, seed)
+        k = min(c, d)
+        total += predicted_cokernel(k, st)
+        clipped = clipped + k * cls
+        info.append((cls, c, k, st))
+        if provisional:
+            prov.append(cls)
+        if _component_conjectural(k, st, d, max(cls.m)):
+            conjectural = True
+    return total, clipped, tuple(info), tuple(prov), CONJECTURAL if conjectural else EXACT
+
+
 @dataclass(frozen=True)
 class AlphaOneResult:
     """Outcome for the generator count in degree alpha + 1.
@@ -150,26 +179,10 @@ def betti_alpha_plus_one(
     pres = line_presentation(z)
     if pres is not None and pres[1]:
         h, comps = pres
-        lcls = line_class(z.n)
-        total = 0
-        info = []
-        prov = []
-        conjectural = False
-        m_clip = _two_l(z.n) + h
-        for cls, c in comps:
-            d = intersect(lcls, cls)
-            st, provisional = splitting_of(cls, p, seed)
-            k = min(c, d)
-            total += binom2(k - st.a) + binom2(k - st.b)
-            m_clip = m_clip + k * cls
-            info.append((cls, c, st))
-            if provisional:
-                prov.append(cls)
-            if _component_conjectural(k, st, d, max(cls.m)):
-                conjectural = True
-        total += expected_h0(class_of(z, a + 1)) - expected_h0(m_clip)
-        flag = CONJECTURAL if conjectural else EXACT
-        return AlphaOneResult(total, None, "decomposition", flag, tuple(info), tuple(prov))
+        total, m_clip, info, prov, flag = _price_components(comps, _two_l(z.n) + h, p, seed)
+        total += h0_next - expected_h0(m_clip)
+        info = tuple((cls, c, st) for cls, c, _, st in info)
+        return AlphaOneResult(total, None, "decomposition", flag, info, prov)
 
     if expected_h1(f) > 0:
         return AlphaOneResult(None, None, "unknown", UNKNOWN)
@@ -221,26 +234,11 @@ def expected_betti(
     dec = decompose(class_of(z, i - 2))
     if dec is None:
         raise InfeasibleError(f"class at degree {i - 2} is not effective")
-    lcls = line_class(z.n)
-    clipped = _two_l(z.n) + dec.h
-    total = 0
-    info = []
-    prov = []
-    conjectural = False
-    for cls, c in dec.components:
-        d = intersect(lcls, cls)
-        st, provisional = splitting_of(cls, p, seed)
-        k = min(c, d)
-        clipped = clipped + k * cls
-        total += binom2(k - st.a) + binom2(k - st.b)
-        info.append((cls, c, k, st))
-        if provisional:
-            prov.append(cls)
-        if _component_conjectural(k, st, d, max(cls.m)):
-            conjectural = True
+    total, clipped, info, prov, flag = _price_components(
+        dec.components, _two_l(z.n) + dec.h, p, seed
+    )
     value = expected_h0(class_of(z, i)) - expected_h0(clipped) + total
-    flag = CONJECTURAL if conjectural else EXACT
-    return ExpectedBetti(i, value, flag, tuple(info), tuple(prov))
+    return ExpectedBetti(i, value, flag, info, prov)
 
 
 @dataclass(frozen=True)
@@ -271,7 +269,7 @@ class BettiBoundData:
             drop = comp.c1 - comp.c2
             k = comp.c - comp.c1
             total += comp.degree * drop - binom2(drop)
-            total += binom2(k - comp.splitting.a) + binom2(k - comp.splitting.b)
+            total += predicted_cokernel(k, comp.splitting)
         return total
 
 

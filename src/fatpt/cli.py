@@ -109,12 +109,15 @@ def _resolve_job(args) -> JobSpec:
     fmt = getattr(args, "format", "json")
     if fmt == "tsv" and args.command not in TSV_COMMANDS:
         raise InputError(f"--format tsv: not available for {args.command}")
+    trials = getattr(args, "trials", 3)
+    if trials < 1:
+        raise InputError(f"--trials {trials}: the vote needs at least one trial")
     return JobSpec(
         command=args.command,
         degrees=degrees,
         prime=prime,
         seed=seed,
-        trials=getattr(args, "trials", 3),
+        trials=trials,
         fmt=fmt,
         ceiling=getattr(args, "ceiling", DEFAULT_COLUMN_CEILING),
     )

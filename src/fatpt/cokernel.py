@@ -42,7 +42,7 @@ from .exactla import DEFAULT_PRIME, FpMatrix, PrimeField
 from .lattice import DivisorClass, FatPointScheme, binom2, class_of, intersect, line_class, point_class
 from .linsys import expected_h0
 from .splitting import DEFAULT_SEED, RETRY_CAP, SplittingType, derive_seed, splitting_of
-from .weyl import WeylWord, apply_word, reduce
+from .weyl import WeylWord, apply_word, is_exceptional, reduce
 
 DEFAULT_COLUMN_CEILING = 16000
 
@@ -313,8 +313,6 @@ def cok_dimension(
     prediction uses the splitting type from ``trials`` randomized draws when
     the type is not forced."""
     PrimeField(p)
-    from .weyl import is_exceptional
-
     if not is_exceptional(e):
         raise InputError(f"{e} is not an exceptional class")
     d = intersect(e, line_class(e.n))

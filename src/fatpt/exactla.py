@@ -4,8 +4,7 @@ Everything downstream (interpolation matrices, syzygy computations, the
 multiplication-map verifier) reduces to ranks and nullspaces of integer
 matrices mod p, plus gcd arithmetic of binary forms. No floating point
 anywhere; a wrong rank would silently corrupt every prediction built on top,
-so the elimination is deterministic and the two backends (see _kernels) are
-required to agree exactly.
+so the elimination (see _kernels) is deterministic.
 
 The default prime 31991 is large enough that random point configurations are
 almost surely generic and small enough that p**2 fits comfortably in int64.
@@ -71,10 +70,6 @@ class FpMatrix:
     @property
     def cols(self) -> int:
         return self.a.shape[1]
-
-    @classmethod
-    def zero(cls, rows: int, cols: int, p: int = DEFAULT_PRIME) -> "FpMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), p)
 
     def rank(self) -> int:
         return _kernels.rank(self.a, self.p)

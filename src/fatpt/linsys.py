@@ -28,7 +28,7 @@ from .lattice import (
     intersect,
     line_class,
 )
-from .weyl import IN_CHAMBER, ReducedForm, apply_word, reduce
+from .weyl import IN_CHAMBER, ReducedForm, apply_word, is_exceptional, reduce
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,6 @@ def fixed_part(z: FatPointScheme, t: int) -> tuple[tuple[DivisorClass, int], ...
 def sanity_check_decomposition(f: DivisorClass, d: Decomposition) -> None:
     """Assert the characterizing properties of the decomposition; used by
     tests and the CLI's verbose path, not in hot loops."""
-    from .weyl import is_exceptional
-
     assert d.total == f, (d.total, f)
     for c_cls, mult in d.components:
         assert mult > 0

@@ -292,3 +292,25 @@ def test_sweep_rejects_jobs_below_one(jobs):
     assert proc.stdout == ""
     assert "--jobs" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("trials", ["-1", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [["split", "--class", "8;3,3,3,3,3,3,3,1,1"], ["sweep", "--max-degree", "10"]],
+    ids=["split", "sweep"],
+)
+def test_rejects_trials_below_one(argv, trials):
+    src = os.path.dirname(os.path.dirname(fatpt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fatpt", *argv, "--trials", trials],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--trials" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fatpt import _kernels
@@ -56,20 +56,82 @@ def test_nullspace_vectors_annihilate():
     assert not prod.any()
 
 
-def test_backends_agree_bit_for_bit():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba not importable")
-    rng = np.random.default_rng(11)
-    p = 31991
-    for rows, cols in [(6, 6), (10, 17), (17, 10), (1, 1), (30, 30)]:
-        a = rng.integers(0, p, size=(rows, cols))
-        a1 = np.ascontiguousarray(a.copy())
-        a2 = np.ascontiguousarray(a.copy())
-        r1, piv1 = _kernels.rref_using(a1, p, "numpy")
-        r2, piv2 = _kernels.rref_using(a2, p, "numba")
-        assert r1 == r2
-        assert np.array_equal(piv1, piv2)
-        assert np.array_equal(a1, a2)
+def _reference_rref(rows, ncols, p):
+    """Plain-Python Gauss-Jordan with the kernel's pivot rule: the first
+    nonzero entry in column order, scanning rows top-down. Returns (rank,
+    pivot columns, reduced matrix)."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return len(pivots), pivots, a
+
+
+def _reference_nullspace(reduced, pivots, ncols, p):
+    """The canonical basis read off a reduced matrix: one vector per free
+    column, ascending, with a 1 there and minus that column's entries at the
+    pivot columns."""
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for row, pc in enumerate(pivots):
+            v[pc] = -reduced[row][fc] % p
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def _rank_deficient_matrices(draw):
+    """(p, rows, ncols): rows and columns are scaled repeats of those of a
+    small base matrix with many zeros, so most draws are rank-deficient;
+    empty picks give 0-row and 0-column matrices."""
+    p = draw(st.sampled_from([7, 101, 31991, 2**31 - 1]))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    r0, c0 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(entry, min_size=c0, max_size=c0), min_size=r0, max_size=r0))
+    scale = st.integers(1, p - 1)
+    row_pick = draw(st.lists(st.tuples(st.integers(0, r0 - 1), scale), max_size=8))
+    col_pick = draw(st.lists(st.tuples(st.integers(0, c0 - 1), scale), max_size=8))
+    rows = [[base[i][j] * s * t % p for j, t in col_pick] for i, s in row_pick]
+    return p, rows, len(col_pick)
+
+
+@given(_rank_deficient_matrices())
+@example((7, [], 4))
+@example((101, [[], [], []], 0))
+@example((31991, [], 0))
+@settings(max_examples=200, deadline=None)
+def test_rref_and_nullspace_match_reference(case):
+    p, rows, ncols = case
+    a = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    ref_rank, ref_pivots, ref_reduced = _reference_rref(rows, ncols, p)
+
+    work = a.copy()
+    rank, pivots = _kernels.rref(work, p)
+    assert rank == ref_rank == _kernels.rank(a, p)
+    assert pivots.tolist() == ref_pivots
+    assert work.tolist() == ref_reduced
+
+    basis = _kernels.nullspace(a, p)
+    assert basis.shape == (ncols - rank, ncols)
+    assert basis.tolist() == _reference_nullspace(ref_reduced, ref_pivots, ncols, p)
+    assert a.tolist() == rows
 
 
 def test_binary_form_gcd_frozen():
