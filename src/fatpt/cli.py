@@ -38,7 +38,7 @@ from .cokernel import DEFAULT_COLUMN_CEILING, cok_dimension
 from .errors import ConjectureViolation, InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME, PrimeField
 from .lattice import format_class, format_mults, parse_class, parse_mults
-from .linsys import decompose, hilbert, sanity_check_decomposition
+from .linsys import alpha_degree, decompose, hilbert, sanity_check_decomposition
 from .splitting import (
     DEFAULT_SEED,
     forced_type,
@@ -503,13 +503,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run(argv=None) -> int:
     """Parse, dispatch, print the report; returns the exit code. Splitting
-    types are memoized within one request only."""
+    types and alpha degrees are memoized within one request only."""
     splitting_type.cache_clear()
-    parser = _build_parser()
+    alpha_degree.cache_clear()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -10,13 +10,16 @@ scheme in degree t is the expected h^0 of tL - sum m_i E_i.
 The decomposition is computed in the Weyl chamber (after Cremona reduction)
 where it can be read off the multiplicity signs, then pulled back through the
 reduction word. Classes whose reduction ends NegL or NegLine are not
-effective and decompose returns None for them.
+effective and decompose returns None for them. The expected h^0 needs only
+chi of the free part, which is Weyl-invariant, so it is read in the chamber
+without the pull-back.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import InputError
 from .lattice import (
@@ -102,11 +105,17 @@ def decompose(f: DivisorClass, reduced: ReducedForm | None = None) -> Decomposit
 
 def expected_h0(f: DivisorClass) -> int:
     """Conjecturally exact dimension of the complete linear system of f
-    (projective dimension + 1; 0 for non-effective classes)."""
-    d = decompose(f)
-    if d is None:
+    (projective dimension + 1; 0 for non-effective classes).
+
+    This is max(0, chi(H)) for the free part H, read in chamber coordinates:
+    chi is Weyl-invariant and zero-padded slots do not change it, so H is
+    never pulled back through the reduction word (``decompose`` does that
+    for callers that need the components)."""
+    r = reduce(f)
+    if r.status != IN_CHAMBER:
         return 0
-    return max(0, chi(d.h))
+    h_c, _, _ = _chamber_split(r.reduced.t, r.reduced.m)
+    return max(0, chi(h_c))
 
 
 def expected_h1(f: DivisorClass) -> int:
@@ -134,16 +143,32 @@ class HilbertReport:
     entries: dict[int, HilbertEntry] = field(default_factory=dict)
 
 
+@lru_cache(maxsize=None)
 def alpha_degree(z: FatPointScheme) -> int:
-    """Least degree with a curve through z (expected): first t with
-    expected_h0 > 0, found by upward scan from 0."""
-    t = 0
-    while True:
-        if expected_h0(class_of(z, t)) > 0:
-            return t
-        t += 1
-        if t > sum(z.mults):
-            raise AssertionError(f"no effective degree up to {sum(z.mults)} for {z}")
+    """Least degree with a curve through z (expected): the first t with
+    expected_h0 > 0, found by bisection between two bounds.
+
+    Below lo = max multiplicity the class meets the nef class L - E_i of the
+    heaviest point negatively, so it has no curve. hi is the least t >= lo
+    with C(t+2, 2) > conditions: there chi(F) > 0, and the free part has
+    chi(H) = chi(F) + sum C(c_j, 2) >= chi(F), so hi is effective (an
+    AssertionError says otherwise). A curve of degree t plus a line is one
+    of degree t + 1, so expected_h0 > 0 is monotone in t and bisection takes
+    at most ceil(log2(hi - lo + 1)) + 1 evaluations. Memoized per scheme;
+    ``cli.run`` clears the memo at the start of each request."""
+    lo = max(z.mults)
+    hi, conditions = lo, z.conditions()
+    while (hi + 1) * (hi + 2) // 2 <= conditions:
+        hi += 1
+    if expected_h0(class_of(z, hi)) <= 0:
+        raise AssertionError(f"degree {hi} is not effective for {z}")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if expected_h0(class_of(z, mid)) > 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 def hilbert(z: FatPointScheme, degrees=None) -> HilbertReport:

@@ -258,6 +258,8 @@ def compute_splitting(
     """Splitting type of the plane image of e over F_p, majority over
     ``trials`` independent configurations. Degenerate draws are retried with
     fresh derived seeds up to a cap, then reported as infeasible."""
+    if trials < 1:
+        raise InputError(f"trials {trials}: the vote needs at least one trial")
     if not is_exceptional(e):
         raise InputError(f"{e} is not an exceptional class")
     if intersect(e, line_class(e.n)) < 1:

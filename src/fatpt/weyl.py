@@ -75,26 +75,30 @@ def parse_word(text: str) -> WeylWord:
 
 
 def apply_generator(f: DivisorClass, g: int) -> DivisorClass:
-    """One generator. Swaps need n > i; Cremona needs n >= 3."""
-    if g == CREMONA:
-        if f.n < 3:
-            raise InputError("Cremona needs at least 3 multiplicity slots")
-        c = f.t - f.m[0] - f.m[1] - f.m[2]
-        m = (f.m[0] + c, f.m[1] + c, f.m[2] + c) + f.m[3:]
-        return DivisorClass(f.t + c, m)
-    i = g - 1
-    if i + 1 >= f.n:
-        raise InputError(f"swap s{g} out of range for {f.n} points")
-    m = list(f.m)
-    m[i], m[i + 1] = m[i + 1], m[i]
-    return DivisorClass(f.t, tuple(m))
+    """One generator: the one-op case of ``apply_word``."""
+    return apply_word(WeylWord((g,)), f)
 
 
 def apply_word(w: WeylWord, f: DivisorClass, inverse: bool = False) -> DivisorClass:
-    ops = reversed(w.ops) if inverse else w.ops
-    for g in ops:
-        f = apply_generator(f, g)
-    return f
+    """w(f), generators applied left to right (right to left, that is
+    w^{-1}(f), for ``inverse``). Folds over the (t, list) pair and builds one
+    class at the end. Swaps s_i need n > i; Cremona needs n >= 3."""
+    n = f.n
+    t, m = f.t, list(f.m)
+    for g in reversed(w.ops) if inverse else w.ops:
+        if g == CREMONA:
+            if n < 3:
+                raise InputError("Cremona needs at least 3 multiplicity slots")
+            c = t - m[0] - m[1] - m[2]
+            t += c
+            m[0] += c
+            m[1] += c
+            m[2] += c
+        else:
+            if g >= n:
+                raise InputError(f"swap s{g} out of range for {n} points")
+            m[g - 1], m[g] = m[g], m[g - 1]
+    return DivisorClass(t, tuple(m))
 
 
 @dataclass(frozen=True)

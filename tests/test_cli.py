@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import fatpt
-from fatpt import splitting
+from fatpt import cli, linsys, splitting
 from fatpt.cli import run
 from fatpt.cokernel import MuVerdict
 from fatpt.lattice import format_class, parse_class
@@ -221,6 +221,32 @@ def test_splitting_memo_cleared_per_request(capsys, monkeypatch):
     _, second = run_json(capsys, argv)
     assert len(calls) == 2
     assert first == second
+
+
+def test_alpha_memo_cleared_per_request(capsys):
+    argv = ["resolution", "--mults", "48,33x3,32x3,24,16"]
+    _, first = run_json(capsys, argv)
+    info = linsys.alpha_degree.cache_info()
+    assert info.misses == 1 and info.hits > 0  # one alpha per request
+    _, second = run_json(capsys, argv)
+    assert linsys.alpha_degree.cache_info() == info
+    assert first == second
+
+
+def test_parser_survives_a_failed_parse(capsys, monkeypatch):
+    good = ["hilbert", "--mults", "5,5,4x3", "--format", "tsv"]
+    alone = run(good)
+    alone_out = capsys.readouterr().out
+
+    def rebuilt():
+        raise AssertionError("the parser is built once per process")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    for bad in (["hilbert"], ["hilbert", "--mults", "5,5", "--bogus"], ["nosuch"]):
+        assert run(bad) == 2
+        capsys.readouterr()
+        assert run(good) == alone
+        assert capsys.readouterr().out == alone_out
 
 
 def test_reports_byte_identical(capsys):

@@ -116,7 +116,7 @@ def _rank_deficient_matrices(draw):
 @example((7, [], 4))
 @example((101, [[], [], []], 0))
 @example((31991, [], 0))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_rref_and_nullspace_match_reference(case):
     p, rows, ncols = case
     a = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
@@ -155,7 +155,7 @@ def test_form_divexact_roundtrip():
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(1, 400))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_form_gcd_divides_both(da, db, seed):
     p = 101
     rng = np.random.default_rng(seed)
@@ -232,7 +232,7 @@ def test_min_syzygy_degree_frozen_cases(forms, a):
     st.data(),
     st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_min_syzygy_degree_matches_scan(p, d, data, seed):
     # Build the triple as the minors of two random columns of degrees a and
     # d - a, so that every a in 0..d/2 is exercised, not only the balanced

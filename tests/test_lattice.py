@@ -47,7 +47,7 @@ def test_canonical_class_products():
 
 
 @given(classes, classes, classes, st.integers(-5, 5))
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_intersection_bilinear(f, g, h, k):
     n = max(f.n, g.n, h.n)
     f, g, h = f.pad_to(n), g.pad_to(n), h.pad_to(n)
@@ -57,7 +57,7 @@ def test_intersection_bilinear(f, g, h, k):
 
 
 @given(classes)
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_chi_riemann_roch_integrality(f):
     # (F^2 - K.F)/2 is always an integer; chi adds 1.
     num = selfint(f) - intersect(canonical_class(f.n), f)

@@ -1,7 +1,11 @@
+import math
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fatpt import linsys
 from fatpt.errors import InputError
 from fatpt.lattice import (
     DivisorClass,
@@ -118,7 +122,7 @@ classes = st.builds(
 
 
 @given(classes)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_decomposition_properties_random(f):
     d = decompose(f)
     if d is None:
@@ -134,6 +138,91 @@ def test_decomposition_properties_random(f):
 
 
 @given(classes)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_expected_h1_nonnegative(f):
     assert expected_h1(f) >= 0
+
+
+def _alpha_by_scan(z):
+    """Reference: the first t with expected_h0 > 0, scanning up from 0."""
+    t = 0
+    while True:
+        if expected_h0(class_of(z, t)) > 0:
+            return t
+        t += 1
+        if t > sum(z.mults):
+            raise AssertionError(f"no effective degree up to {sum(z.mults)} for {z}")
+
+
+def _expected_h0_by_pullback(f):
+    """Reference: chi of the free part after pulling it back to f's slots."""
+    d = decompose(f)
+    return 0 if d is None else max(0, chi(d.h))
+
+
+def _bisection_bounds(z):
+    lo = max(z.mults)
+    hi = lo
+    while (hi + 1) * (hi + 2) // 2 <= z.conditions():
+        hi += 1
+    return lo, hi
+
+
+schemes = st.lists(st.integers(0, 79), min_size=1, max_size=11).filter(any).map(
+    lambda ms: FatPointScheme(tuple(ms))
+)
+
+
+@given(schemes)
+@example(FatPointScheme((1,)))
+@example(FatPointScheme((0, 79)))
+@example(FatPointScheme((5, 5, 5)))
+@example(FatPointScheme((77,) * 7 + (44, 11, 11, 11)))
+@settings(max_examples=150)
+def test_alpha_bisection_matches_scan(z):
+    assert alpha_degree(z) == _alpha_by_scan(z)
+
+
+@given(schemes)
+@settings(max_examples=40)
+def test_expected_h0_positivity_monotone(z):
+    lo, a = max(z.mults), alpha_degree(z)
+    positive = [expected_h0(class_of(z, t)) > 0 for t in range(lo, a + 41)]
+    assert positive == sorted(positive)
+
+
+mixed_classes = st.builds(
+    DivisorClass,
+    st.integers(-5, 40),
+    st.lists(st.integers(-6, 15), min_size=0, max_size=9).map(tuple),
+)
+
+
+@given(mixed_classes)
+@example(DivisorClass(-1, ()))
+@example(DivisorClass(4, (2,)))
+@example(DivisorClass(2, (1, -1)))
+@settings(max_examples=400)
+def test_chamber_expected_h0_matches_pullback(f):
+    assert expected_h0(f) == _expected_h0_by_pullback(f)
+
+
+@given(schemes)
+@example(FatPointScheme((1,)))
+@example(FatPointScheme((50, 50, 38, 38, 26, 26, 22, 18, 14, 14)))
+@settings(max_examples=60)
+def test_alpha_degree_call_count(z):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return expected_h0(f)
+
+    lo, hi = _bisection_bounds(z)
+    alpha_degree.cache_clear()
+    with mock.patch.object(linsys, "expected_h0", counted):
+        first = alpha_degree(z)
+        spent = len(calls)
+        assert alpha_degree(z) == first
+    assert spent <= math.ceil(math.log2(hi - lo + 1)) + 1
+    assert len(calls) == spent  # the second call came from the memo

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fatpt.cokernel import cok_dimension
 from fatpt.errors import InputError
 from fatpt.lattice import DivisorClass, intersect, line_class, parse_class
 from fatpt.splitting import (
@@ -15,6 +16,8 @@ from fatpt.splitting import (
     predict_report,
     predict_splitting,
     split_bounds,
+    splitting_of,
+    splitting_type,
     _replay_points,
 )
 from fatpt.weyl import CREMONA, WeylWord, enumerate_exceptional, exceptional_points, orbit_of_line
@@ -71,6 +74,19 @@ def test_compute_splitting_rejects_non_exceptional():
         compute_splitting(parse_class("2;1,1"))
     with pytest.raises(InputError):
         compute_splitting(DivisorClass(0, (-1, 0, 0)))
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_library_entry_points_reject_trials_below_one(trials):
+    e = parse_class("8;3,3,3,3,3,3,3,1,1")  # not forced: degree 8 > 2*3 + 1
+    with pytest.raises(InputError, match="trial"):
+        compute_splitting(e, 31991, 1, trials)
+    with pytest.raises(InputError, match="trial"):
+        splitting_type(e, 31991, 1, trials)
+    with pytest.raises(InputError, match="trial"):
+        splitting_of(e, 31991, 1, trials)
+    with pytest.raises(InputError, match="trial"):
+        cok_dimension(e, 2, 31991, 1, trials=trials)
 
 
 def test_computed_type_always_allowed():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatpt.errors import InputError
@@ -105,7 +105,7 @@ classes6 = st.builds(
 
 
 @given(words, classes6, classes6)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_word_preserves_form_and_canonical(ops, f, g):
     w = WeylWord(ops)
     wf, wg = apply_word(w, f), apply_word(w, g)
@@ -116,7 +116,7 @@ def test_word_preserves_form_and_canonical(ops, f, g):
 
 
 @given(words, classes6)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_reduce_chamber_outcome_word_invariant(ops, f):
     """Chamber membership is an orbit property and the chamber terminal is
     canonical. (Non-effective classes stop at the first witness, which may
@@ -126,6 +126,58 @@ def test_reduce_chamber_outcome_word_invariant(ops, f):
     assert (rf.status == IN_CHAMBER) == (rg.status == IN_CHAMBER)
     if rf.status == IN_CHAMBER:
         assert rf.reduced == rg.reduced
+
+
+
+def _reference_generator(f, g):
+    """Reference: one generator on a DivisorClass, as a fresh class."""
+    if g == CREMONA:
+        if f.n < 3:
+            raise InputError("Cremona needs at least 3 multiplicity slots")
+        c = f.t - f.m[0] - f.m[1] - f.m[2]
+        return DivisorClass(f.t + c, (f.m[0] + c, f.m[1] + c, f.m[2] + c) + f.m[3:])
+    i = g - 1
+    if i + 1 >= f.n:
+        raise InputError(f"swap s{g} out of range for {f.n} points")
+    m = list(f.m)
+    m[i], m[i + 1] = m[i + 1], m[i]
+    return DivisorClass(f.t, tuple(m))
+
+
+def _reference_word(w, f, inverse=False):
+    """Reference: the generator-by-generator fold."""
+    for g in reversed(w.ops) if inverse else w.ops:
+        f = _reference_generator(f, g)
+    return f
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+any_classes = st.builds(
+    DivisorClass,
+    st.integers(-30, 30),
+    st.lists(st.integers(-12, 12), min_size=0, max_size=7).map(tuple),
+)
+long_words = st.lists(st.integers(0, 7), min_size=0, max_size=40).map(tuple)
+
+
+@given(long_words, any_classes, st.booleans())
+@example((0,), DivisorClass(2, (1, 1)), False)
+@example((1, 2), DivisorClass(2, (1, 1)), True)
+@example((3,), DivisorClass(5, (1, 1, 1)), False)
+@settings(max_examples=300)
+def test_apply_word_matches_generator_fold(ops, f, inverse):
+    w = WeylWord(ops)
+    assert _outcome(apply_word, w, f, inverse=inverse) == _outcome(
+        _reference_word, w, f, inverse=inverse
+    )
+    for g in ops[:3]:
+        assert _outcome(apply_generator, f, g) == _outcome(_reference_generator, f, g)
 
 
 def test_reduce_idempotent():
