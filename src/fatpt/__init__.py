@@ -3,7 +3,7 @@ graded Betti numbers, exceptional curves and their splitting types, with
 exact verification over prime fields."""
 
 from .errors import ConjectureViolation, DegenerateConfiguration, InfeasibleError, InputError
-from .exactla import DEFAULT_PRIME, BinaryForm, FpMatrix, PrimeField, form_divexact, form_gcd, min_syzygy_degree
+from .exactla import DEFAULT_PRIME, FpMatrix, PrimeField, min_syzygy_degree
 from .lattice import (
     DivisorClass,
     FatPointScheme,

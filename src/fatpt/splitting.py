@@ -12,13 +12,14 @@ a single forced value exactly when d <= 2m+1.
 ``compute_splitting`` determines (a, b) for an explicit curve over F_p:
 reduce the class to a line through two of the points, draw a random point
 configuration, replay the reduction on the points (recording each Cremona's
-base triangle), parametrize the final line, then run the replay backwards on
-the parametrization, dividing out the gcd of the three binary forms after
-each quadratic substitution. The syzygy degree a of the resulting degree-d
-parametrization is read off with exact linear algebra. This is a randomized
-computation over one prime: results are correct for the drawn configuration
-but only provisional as statements about the generic curve, and reports label
-them so.
+base triangle), then push 2d+1 points of the final line back through the
+Cremonas, most recent first. Each lands, up to scale, on the plane image of
+the curve at its parameter, and the syzygy degree a is read off those points
+with two exact ranks (``min_syzygy_degree``); the second rank also rejects a
+draw whose image has dropped degree. This is a randomized computation over
+one prime: results are correct for the drawn configuration but only
+provisional as statements about the generic curve, and reports label them
+so.
 
 ``splitting_type`` is the single place that decides between the two: the
 closed form when the degree forces the type, else ``compute_splitting``
@@ -42,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConjectureViolation, DegenerateConfiguration, InfeasibleError, InputError
-from .exactla import DEFAULT_PRIME, BinaryForm, PrimeField, form_divexact, form_gcd, min_syzygy_degree
+from .exactla import DEFAULT_PRIME, PrimeField, min_syzygy_degree
 from .lattice import DivisorClass, binom2, intersect, line_class, selfint
 from .weyl import CREMONA, WeylWord, exceptional_points, is_exceptional, line_reduction, orbit_of_line
 
@@ -151,98 +152,94 @@ def _inv3(mat: np.ndarray, p: int) -> np.ndarray:
     return adj % p * inv % p
 
 
+def _matvec(m: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """M x mod p for each row x. Each product is reduced before the sum:
+    three products below p**2 overflow int64 for p near 2**31."""
+    return (x[:, None, :] * m % p).sum(axis=2) % p
+
+
+def _quadratic(y: np.ndarray, p: int) -> np.ndarray:
+    """q(y) = (y2 y3, y1 y3, y1 y2) mod p for each row y."""
+    return np.stack([y[:, 1] * y[:, 2], y[:, 0] * y[:, 2], y[:, 0] * y[:, 1]], axis=1) % p
+
+
 def _replay_points(word: WeylWord, pts: np.ndarray, p: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Transport a point configuration through a reduction word.
 
-    Swaps permute rows. A Cremona maps x to q(M^-1 x) with q(y) =
-    (y2 y3, y1 y3, y1 y2) and M the matrix of the first three points; those
-    three become the coordinate vertices. Returns the final points and the
-    stack of Cremona matrices M in application order.
+    Swaps permute rows; each run of them is composed into one permutation
+    of the rows, applied before the next Cremona. A Cremona maps x to
+    q(M^-1 x) with q(y) = (y2 y3, y1 y3, y1 y2) and M the matrix of the
+    first three points; those three become the coordinate vertices. Returns
+    the final points and the stack of Cremona matrices M in application
+    order.
     """
-    pts = pts.copy()
+    order = list(range(len(pts)))
     mats: list[np.ndarray] = []
     for op in word.ops:
         if op != CREMONA:
-            i = op - 1
-            pts[[i, i + 1]] = pts[[i + 1, i]]
+            order[op - 1], order[op] = order[op], order[op - 1]
             continue
+        pts = pts[order]
+        order = list(range(len(pts)))
         m = pts[:3].T % p
-        minv = _inv3(m, p)
         mats.append(m)
-        # Each product is reduced before the sum: three products below p**2
-        # overflow int64 for p near 2**31.
-        y = (pts[3:, None, :] * minv % p).sum(axis=2) % p
-        q = np.stack([y[:, 1] * y[:, 2], y[:, 0] * y[:, 2], y[:, 0] * y[:, 1]], axis=1) % p
+        q = _quadratic(_matvec(_inv3(m, p), pts[3:], p), p)
         if not q.any(axis=1).all():
             raise DegenerateConfiguration("point collides with a Cremona center")
         pts[3:] = q
-        pts[0] = (1, 0, 0)
-        pts[1] = (0, 1, 0)
-        pts[2] = (0, 0, 1)
-    return pts, mats
+        pts[:3] = np.eye(3, dtype=np.int64)
+    return pts[order], mats
 
 
-def _replay_forms(
-    word: WeylWord,
-    trail: list[int],
-    mats: list[np.ndarray],
-    phi: list[BinaryForm],
-    p: int,
-) -> list[BinaryForm]:
-    """Undo a reduction word on a parametrized curve.
-
-    For each Cremona (most recent first) substitute phi <- M q(phi) and divide
-    out the common binary-form factor; the degree after each undo must match
-    the recorded class degree, anything else means the configuration was
-    degenerate.
-    """
-    mats = list(mats)
-    for k in range(len(word.ops) - 1, -1, -1):
-        op = word.ops[k]
-        if op != CREMONA:
-            continue
-        m = mats.pop()
-        psi = [phi[1] * phi[2], phi[0] * phi[2], phi[0] * phi[1]]
-        new = []
-        for i in range(3):
-            f = psi[0].scale(int(m[i, 0])) + psi[1].scale(int(m[i, 1])) + psi[2].scale(int(m[i, 2]))
-            new.append(f)
-        if any(f.is_zero for f in new):
-            raise DegenerateConfiguration("parametrization component vanished")
-        g = form_gcd(form_gcd(new[0], new[1]), new[2])
-        phi = [form_divexact(f, g) for f in new]
-        if phi[0].degree != trail[k]:
-            raise DegenerateConfiguration(
-                f"degree {phi[0].degree} after undo, expected {trail[k]}"
-            )
-    return phi
+def _undo_cremonas(mats: list[np.ndarray], pts: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Push points back through the recorded Cremonas, most recent first:
+    P <- M q(P). Returns the points and a mask of the rows that survive
+    every step; a row with q(P) = 0 sits on a base point of that undo and
+    has no image."""
+    alive = np.ones(len(pts), dtype=bool)
+    for m in reversed(mats):
+        q = _quadratic(pts, p)
+        alive &= q.any(axis=1)
+        pts = _matvec(m, q, p)
+    return pts, alive
 
 
 def parametrize(
     e: DivisorClass, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED
-) -> tuple[list[BinaryForm], PointConfiguration]:
-    """A degree-d parametrization over F_p of the plane image of the
-    exceptional curve of class e through a random point configuration."""
-    PrimeField(p)
-    word, term, trail = line_reduction(e)
-    n = max(e.n, 3)
-    config = draw_points(n, p, seed)
-    pts, mats = _replay_points(word, config.as_array(), p)
-    a_pt, b_pt = pts[0], pts[1]
-    phi = [BinaryForm((int(b_pt[i]), int(a_pt[i])), p) for i in range(3)]
-    if any(f.is_zero for f in phi):
-        raise DegenerateConfiguration("degenerate final line")
-    phi = _replay_forms(word, trail, mats, phi, p)
+) -> tuple[np.ndarray, np.ndarray]:
+    """(t, pts): 2d+1 points over F_p of the plane image of the exceptional
+    curve of class e through the configuration ``draw_points`` gives for
+    this seed, the point pts[j] at parameter t[j], each up to scale.
+
+    The final line of the replayed configuration is P = t A + B for its
+    first two points A and B; each parameter t = 0, 1, 2, ... is pushed
+    back through the reduction, and parameters that hit a base point of
+    some undo are dropped. The caller validates p.
+    """
+    word, _ = line_reduction(e)
     d = intersect(e, line_class(e.n))
-    if phi[0].degree != d:
-        raise DegenerateConfiguration(f"parametrization degree {phi[0].degree} != {d}")
-    return phi, config
+    pts, mats = _replay_points(word, draw_points(max(e.n, 3), p, seed).as_array(), p)
+    if not (pts[:2] != 0).any(axis=0).all():
+        raise DegenerateConfiguration("degenerate final line")
+    need = 2 * d + 1
+    ts, curve = [], []
+    start = 0
+    while need > 0 and start < p:
+        t = np.arange(start, min(start + need, p), dtype=np.int64)
+        start += len(t)
+        image, alive = _undo_cremonas(mats, (t[:, None] * pts[0] % p + pts[1]) % p, p)
+        ts.append(t[alive])
+        curve.append(image[alive])
+        need -= int(alive.sum())
+    if need > 0:
+        raise DegenerateConfiguration(f"fewer than {2 * d + 1} parameters of F_{p} avoid the base points")
+    return np.concatenate(ts), np.concatenate(curve)
 
 
 def _splitting_once(e: DivisorClass, p: int, seed) -> SplittingType:
-    phi, _ = parametrize(e, p, seed)
-    d = phi[0].degree
-    a = min_syzygy_degree(phi[0], phi[1], phi[2])
+    t, pts = parametrize(e, p, seed)
+    d = intersect(e, line_class(e.n))
+    a = min_syzygy_degree(t, pts, d, p)
     st = SplittingType(a, d - a)
     if st not in candidate_pairs(d, max(e.m)):
         raise DegenerateConfiguration(f"type {st} outside the allowed range")
@@ -260,6 +257,7 @@ def compute_splitting(
     fresh derived seeds up to a cap, then reported as infeasible."""
     if trials < 1:
         raise InputError(f"trials {trials}: the vote needs at least one trial")
+    PrimeField(p)
     if not is_exceptional(e):
         raise InputError(f"{e} is not an exceptional class")
     if intersect(e, line_class(e.n)) < 1:

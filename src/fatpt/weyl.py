@@ -218,31 +218,26 @@ def enumerate_exceptional(max_degree: int) -> list[DivisorClass]:
     return out
 
 
-def line_reduction(e: DivisorClass) -> tuple[WeylWord, DivisorClass, list[int]]:
+def line_reduction(e: DivisorClass) -> tuple[WeylWord, DivisorClass]:
     """Reduce an exceptional class of degree >= 1 just far enough to reach a
     degree-1 class (the proper transform of a line through two points).
 
-    Returns (word, terminal class, degree trail): the terminal has sorted
-    multiplicities (1, 1, 0, ..., 0), and trail[k] is the class degree before
-    ops[k] was applied (what a reverse replay must restore after undoing it).
+    Returns (word, terminal class); the terminal has sorted multiplicities
+    (1, 1, 0, ..., 0).
     """
     if intersect(e, line_class(e.n)) < 1:
         raise InputError("line reduction needs a class of degree >= 1")
     g = e.pad_to(3) if e.n < 3 else e
     t, m = g.t, list(g.m)
     ops: list[int] = []
-    trail: list[int] = []
     while True:
-        for op in _sort_ops(m):
-            ops.append(op)
-            trail.append(t)
+        ops.extend(_sort_ops(m))
         if t == 1:
             break
         c = t - m[0] - m[1] - m[2]
         if c >= 0:
             raise InputError(f"class {e} is not in the line orbit")
         ops.append(CREMONA)
-        trail.append(t)
         t += c
         m[0] += c
         m[1] += c
@@ -250,7 +245,7 @@ def line_reduction(e: DivisorClass) -> tuple[WeylWord, DivisorClass, list[int]]:
     term = DivisorClass(t, tuple(m))
     if term.m[: 2] != (1, 1) or any(term.m[2:]):
         raise InputError(f"class {e} is not in the line orbit")
-    return WeylWord(tuple(ops)), term, trail
+    return WeylWord(tuple(ops)), term
 
 
 def exceptional_points(w: WeylWord, n: int) -> list[DivisorClass]:

@@ -4,17 +4,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fatpt import _kernels
-from fatpt.errors import InputError
-from fatpt.exactla import (
-    DEFAULT_PRIME,
-    BinaryForm,
-    FpMatrix,
-    PrimeField,
-    form_divexact,
-    form_gcd,
-    is_prime,
-    min_syzygy_degree,
-)
+from fatpt.errors import DegenerateConfiguration, InputError
+from fatpt.exactla import DEFAULT_PRIME, FpMatrix, PrimeField, is_prime, min_syzygy_degree
+from test_splitting import _coprime, _evaluate, _form_comb, _form_mul
 
 
 def test_prime_field_validates():
@@ -134,96 +126,68 @@ def test_rref_and_nullspace_match_reference(case):
     assert a.tolist() == rows
 
 
-def test_binary_form_gcd_frozen():
-    p = 7
-    # u^2 - v^2 and u - v share the factor u - v (monic in u).
-    f = BinaryForm((p - 1, 0, 1), p)
-    g = BinaryForm((p - 1, 1), p)
-    assert form_gcd(f, g).coeffs == (6, 1)
+# Forms are plain coefficient lists, as in test_splitting's form route: the
+# list [c_0, ..., c_d] is sum_i c_i u^i v^(d-i).
 
 
-def test_form_divexact_roundtrip():
-    p = 31991
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a = BinaryForm(tuple(int(v) for v in rng.integers(0, p, size=4)), p)
-        b = BinaryForm(tuple(int(v) for v in rng.integers(1, p, size=3)), p)
-        if a.is_zero or b.is_zero:
-            continue
-        prod = a * b
-        assert form_divexact(prod, b).coeffs == a.coeffs
-
-
-@given(st.integers(0, 6), st.integers(0, 6), st.integers(1, 400))
-@settings(max_examples=60)
-def test_form_gcd_divides_both(da, db, seed):
-    p = 101
-    rng = np.random.default_rng(seed)
-    a = BinaryForm(tuple(int(v) for v in rng.integers(0, p, size=da + 1)), p)
-    b = BinaryForm(tuple(int(v) for v in rng.integers(0, p, size=db + 1)), p)
-    if a.is_zero or b.is_zero:
-        return
-    g = form_gcd(a, b)
-    form_divexact(a, g)
-    form_divexact(b, g)
+def _points(forms, p):
+    """min_syzygy_degree's input for the forms: their values at the 2d+1
+    parameters t = 0, 1, ..., 2d."""
+    d = len(forms[0]) - 1
+    t = list(range(2 * d + 1))
+    return t, [_evaluate(forms, tj, p) for tj in t], d, p
 
 
 def test_min_syzygy_degree_examples():
     p = 31991
     # (u, v, u + v) has a linear syzygy in degree 0: 1*u + 1*v - 1*(u+v).
-    assert min_syzygy_degree(BinaryForm((0, 1), p), BinaryForm((1, 0), p), BinaryForm((1, 1), p)) == 0
+    assert min_syzygy_degree(*_points([[0, 1], [1, 0], [1, 1]], p)) == 0
     # (u^2, v^2, uv): no degree-0 relation, degree 1 works.
-    assert min_syzygy_degree(BinaryForm((0, 0, 1), p), BinaryForm((1, 0, 0), p), BinaryForm((0, 1, 0), p)) == 1
+    assert min_syzygy_degree(*_points([[0, 0, 1], [1, 0, 0], [0, 1, 0]], p)) == 1
 
 
-def _syzygy_degree_scan(f0, f1, f2):
+def _syzygy_degree_scan(forms, p):
     """Reference: the least e whose (d+e+1) x 3(e+1) coefficient matrix has a
     nonzero kernel, found by trying e = 0, 1, ... in turn."""
-    d, p = f0.degree, f0.p
+    d = len(forms[0]) - 1
     for e in range(d // 2 + 1):
         m = np.zeros((d + e + 1, 3 * (e + 1)), dtype=np.int64)
-        for idx, f in enumerate((f0, f1, f2)):
+        for idx, f in enumerate(forms):
             for k in range(e + 1):
-                for j, c in enumerate(f.coeffs):
+                for j, c in enumerate(f):
                     m[j + k, idx * (e + 1) + k] = c
         if FpMatrix(m, p).rank() < 3 * (e + 1):
             return e
     raise AssertionError("no syzygy up to floor(d/2)")
 
 
-def _minors(pv, qv):
+def _minors(pv, qv, p):
     """The 2x2 minors of the 3x2 matrix with columns pv, qv: three forms
     whose syzygy module is generated by pv and qv when they are coprime."""
     return [
-        pv[(i + 1) % 3] * qv[(i + 2) % 3] + (pv[(i + 2) % 3] * qv[(i + 1) % 3]).scale(-1)
+        _form_comb(
+            (1, -1),
+            [_form_mul(pv[(i + 1) % 3], qv[(i + 2) % 3], p), _form_mul(pv[(i + 2) % 3], qv[(i + 1) % 3], p)],
+            p,
+        )
         for i in range(3)
     ]
-
-
-def _coprime(forms):
-    if any(f.is_zero for f in forms):
-        return False
-    return form_gcd(form_gcd(forms[0], forms[1]), forms[2]).degree == 0
-
-
-def _form(*coeffs, p=31991):
-    return BinaryForm(coeffs, p)
 
 
 @pytest.mark.parametrize(
     "forms, a",
     [
-        ((_form(1), _form(2), _form(3)), 0),  # d = 0
-        ((_form(0, 1), _form(1, 0), _form(1, 1)), 0),  # d = 1
-        ((_form(0, 0, 0, 0, 1), _form(1, 0, 0, 0, 0), _form(1, 0, 0, 0, 1)), 0),  # f2 = f0 + f1
-        ((_form(0, 0, 0, 1), _form(1, 0, 0, 0), _form(0, 0, 1, 0)), 1),  # odd d, v*f0 = u*f2
-        ((_form(0, 0, 0, 0, 1), _form(1, 0, 0, 0, 0), _form(0, 0, 1, 0, 0)), 2),  # even d, a = d/2
-        ((_form(0, 0, 0, 0, 0, 1), _form(1, 0, 0, 0, 0, 0), _form(0, 1, 0, 0, 0, 0)), 1),  # odd d
+        (([1], [2], [3]), 0),  # d = 0
+        (([0, 1], [1, 0], [1, 1]), 0),  # d = 1
+        (([0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [1, 0, 0, 0, 1]), 0),  # f2 = f0 + f1
+        (([0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]), 1),  # odd d, v*f0 = u*f2
+        (([0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0]), 2),  # even d, a = d/2
+        (([0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]), 1),  # odd d
     ],
 )
 def test_min_syzygy_degree_frozen_cases(forms, a):
-    assert min_syzygy_degree(*forms) == a
-    assert _syzygy_degree_scan(*forms) == a
+    assert min_syzygy_degree(*_points(forms, 31991)) == a
+    assert _syzygy_degree_scan(forms, 31991) == a
 
 
 @given(
@@ -236,61 +200,68 @@ def test_min_syzygy_degree_frozen_cases(forms, a):
 def test_min_syzygy_degree_matches_scan(p, d, data, seed):
     # Build the triple as the minors of two random columns of degrees a and
     # d - a, so that every a in 0..d/2 is exercised, not only the balanced
-    # type of a generic triple.
+    # type of a generic triple. At p = 7 the 2d+1 parameters need d <= 3.
     a = data.draw(st.integers(0, d // 2))
+    assume(2 * d + 1 <= p)
     rng = np.random.default_rng(seed)
 
     def column(deg):
-        return [BinaryForm(rng.integers(0, p, size=deg + 1).tolist(), p) for _ in range(3)]
+        return [rng.integers(0, p, size=deg + 1).tolist() for _ in range(3)]
 
-    forms = _minors(column(a), column(d - a))
-    assume(_coprime(forms))
-    assert min_syzygy_degree(*forms) == _syzygy_degree_scan(*forms)
+    forms = _minors(column(a), column(d - a), p)
+    assume(all(forms))
+    if _coprime(forms, p):
+        assert min_syzygy_degree(*_points(forms, p)) == _syzygy_degree_scan(forms, p)
+    else:
+        with pytest.raises(DegenerateConfiguration):
+            min_syzygy_degree(*_points(forms, p))
 
 
-def test_min_syzygy_degree_uses_one_rank(monkeypatch):
+def test_min_syzygy_degree_uses_two_ranks(monkeypatch):
     calls = []
     rank = _kernels.rank
     monkeypatch.setattr(_kernels, "rank", lambda a, p: calls.append(a.shape) or rank(a, p))
     rng = np.random.default_rng(17)
     p = 31991
-    forms = [BinaryForm([int(v) for v in rng.integers(1, p, size=10)], p) for _ in range(3)]
-    assert min_syzygy_degree(*forms) == 4
-    assert calls == [(14, 15)]
+    forms = [[int(v) for v in rng.integers(1, p, size=10)] for _ in range(3)]
+    assert min_syzygy_degree(*_points(forms, p)) == 4
+    # e = 4 on 9 + 4 + 1 points, then e = b = 5 on 9 + 5 + 1 points.
+    assert calls == [(14, 15), (15, 18)]
 
 
 @pytest.mark.parametrize("fake_rank", [lambda a, p: a.shape[1], lambda a, p: 0])
 def test_min_syzygy_degree_rejects_impossible_nullity(monkeypatch, fake_rank):
     # A full-rank matrix at odd d, or a nullity above e + 1, cannot come from
-    # coprime forms.
+    # a curve of degree d.
     monkeypatch.setattr(_kernels, "rank", fake_rank)
-    forms = (_form(0, 0, 0, 1), _form(1, 0, 0, 0), _form(0, 0, 1, 0))
-    with pytest.raises(AssertionError):
-        min_syzygy_degree(*forms)
+    forms = ([0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0])
+    with pytest.raises(DegenerateConfiguration):
+        min_syzygy_degree(*_points(forms, 31991))
 
 
 def test_min_syzygy_rejects_common_factor():
     p = 31991
-    u = BinaryForm((0, 1), p)
-    with pytest.raises(InputError):
-        min_syzygy_degree(u, u, u)
+    # (u, u, u): the points all lie at (1, 1, 1), a curve of degree 0; the
+    # first rank shows an impossible nullity.
+    with pytest.raises(DegenerateConfiguration, match="impossible"):
+        min_syzygy_degree(*_points([[0, 1]] * 3, p))
+    # u * (u^2, v^2, uv): a conic of type (1, 1) read as a cubic. The first
+    # rank reads a = 0, and the second, at e = 3, finds 6 syzygies, not 5.
+    with pytest.raises(DegenerateConfiguration, match="expected 5"):
+        min_syzygy_degree(*_points([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], p))
+
+
+def test_min_syzygy_degree_rejects_bad_input():
+    p = 31991
+    t, pts, d, _ = _points([[0, 0, 1], [1, 0, 0], [0, 1, 0]], p)
+    with pytest.raises(InputError, match="distinct"):
+        min_syzygy_degree(t[:4], pts[:4], d, p)
+    with pytest.raises(InputError, match="distinct"):
+        min_syzygy_degree([0, 1, 2, 3, p], pts, d, p)
+    with pytest.raises(InputError, match="one point"):
+        min_syzygy_degree(t, [row[:2] for row in pts], d, p)
 
 
 def test_default_prime_value():
     assert DEFAULT_PRIME == 31991
     assert is_prime(DEFAULT_PRIME)
-
-
-LARGEST_PRIME = 2**31 - 1
-
-
-def test_form_product_at_largest_prime():
-    p = LARGEST_PRIME
-    rng = np.random.default_rng(23)
-    a = [int(v) for v in rng.integers(p // 2, p, size=20)]
-    b = [int(v) for v in rng.integers(p // 2, p, size=24)]
-    ref = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            ref[i + j] += ca * cb
-    assert (BinaryForm(a, p) * BinaryForm(b, p)).coeffs == tuple(c % p for c in ref)

@@ -1,10 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fatpt import exactla, splitting
 from fatpt.cokernel import cok_dimension
-from fatpt.errors import InputError
+from fatpt.errors import DegenerateConfiguration, InputError
+from fatpt.exactla import FpMatrix
 from fatpt.lattice import DivisorClass, intersect, line_class, parse_class
 from fatpt.splitting import (
+    DEFAULT_SEED,
+    RETRY_CAP,
+    PointConfiguration,
     SplittingType,
     candidate_pairs,
     compute_splitting,
@@ -19,8 +28,9 @@ from fatpt.splitting import (
     splitting_of,
     splitting_type,
     _replay_points,
+    _splitting_once,
 )
-from fatpt.weyl import CREMONA, WeylWord, enumerate_exceptional, exceptional_points, orbit_of_line
+from fatpt.weyl import CREMONA, WeylWord, enumerate_exceptional, exceptional_points, line_reduction, orbit_of_line
 
 
 def test_candidate_pairs_frozen():
@@ -100,15 +110,183 @@ def test_computed_type_always_allowed():
             assert st == bounds[0]
 
 
+# The form route: the splitting type computed by undoing each Cremona on a
+# parametrization of the final line, as binary forms, dividing out the gcd of
+# the three forms after each undo, then reading the syzygy degree off the
+# forms' coefficients. It is kept here, in plain Python lists, as the
+# reference for the point route of ``parametrize`` and ``min_syzygy_degree``.
+# A form sum_i c_i u^i v^(d-i) is the list [c_0, ..., c_d]; the zero form is
+# [], so that a zero form is never mistaken for a constant.
+
+
+def _form(coeffs, p):
+    coeffs = [int(c) % p for c in coeffs]
+    return coeffs if any(coeffs) else []
+
+
+def _form_mul(f, g, p):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return _form(out, p)
+
+
+def _form_comb(scalars, forms, p):
+    """sum_k scalars[k] * forms[k] over forms of one degree (zero forms
+    count as that degree's zero)."""
+    n = max(len(f) for f in forms)
+    return _form(
+        [sum(int(s) * (f[i] if f else 0) for s, f in zip(scalars, forms)) for i in range(n)], p
+    )
+
+
+def _split_monomial(f):
+    """(a, b, core) with f = u^a v^b core and core coprime to u and v, as
+    ascending coefficients of the dehomogenized core."""
+    lo = next(i for i, c in enumerate(f) if c)
+    hi = max(i for i, c in enumerate(f) if c)
+    return lo, len(f) - 1 - hi, f[lo : hi + 1]
+
+
+def _poly_divmod(num, den, p):
+    """Univariate division with remainder, ascending coefficients; the
+    remainder is [] when it is zero."""
+    num = list(num)
+    dd = len(den) - 1
+    inv = pow(den[-1], p - 2, p)
+    q = [0] * max(len(num) - dd, 1)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i] * inv % p
+        if c:
+            q[i - dd] = c
+            for j, x in enumerate(den):
+                num[i - dd + j] = (num[i - dd + j] - c * x) % p
+    rem = num[:dd]
+    while rem and not rem[-1]:
+        rem.pop()
+    return q, rem
+
+
+def _form_gcd(f, g, p):
+    """Monic gcd of two forms, not both zero: the monomial parts by
+    valuation, the cores by Euclid."""
+    if not f or not g:
+        h = f or g
+        lead = h[max(i for i, c in enumerate(h) if c)]
+        return [c * pow(lead, p - 2, p) % p for c in h]
+    fu, fv, fc = _split_monomial(f)
+    gu, gv, gc = _split_monomial(g)
+    a, b = fc, gc
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    core = [c * pow(a[-1], p - 2, p) % p for c in a]
+    return [0] * min(fu, gu) + core + [0] * min(fv, gv)
+
+
+def _form_divexact(f, g, p):
+    fu, fv, fc = _split_monomial(f)
+    gu, gv, gc = _split_monomial(g)
+    q, rem = _poly_divmod(fc, gc, p)
+    assert fu >= gu and fv >= gv and not rem, "division is not exact"
+    return [0] * (fu - gu) + q + [0] * (fv - gv)
+
+
+def _coprime(forms, p):
+    if not all(forms):
+        return False
+    return len(_form_gcd(_form_gcd(forms[0], forms[1], p), forms[2], p)) == 1
+
+
+def _degrees_before_cremonas(e, word):
+    """The class degree before each Cremona of the word, in order."""
+    t, m = e.t, list(e.pad_to(3).m if e.n < 3 else e.m)
+    out = []
+    for op in word.ops:
+        if op != CREMONA:
+            m[op - 1], m[op] = m[op], m[op - 1]
+            continue
+        out.append(t)
+        c = t - m[0] - m[1] - m[2]
+        t += c
+        m[:3] = [v + c for v in m[:3]]
+    return out
+
+
+def _reference_parametrize(e, pts, p):
+    """Forms of the plane image of e through the points ``pts`` (an (n, 3)
+    array), by the form route; raises DegenerateConfiguration where a
+    component vanishes or a degree drops."""
+    word, _ = line_reduction(e)
+    final, mats = _replay_points(word, pts, p)
+    phi = [_form([final[1][i], final[0][i]], p) for i in range(3)]
+    if not all(phi):
+        raise DegenerateConfiguration("degenerate final line")
+    for m, deg in zip(reversed(mats), reversed(_degrees_before_cremonas(e, word))):
+        psi = [
+            _form_mul(phi[1], phi[2], p),
+            _form_mul(phi[0], phi[2], p),
+            _form_mul(phi[0], phi[1], p),
+        ]
+        new = [_form_comb(m[i], psi, p) for i in range(3)]
+        if not all(new):
+            raise DegenerateConfiguration("parametrization component vanished")
+        g = _form_gcd(_form_gcd(new[0], new[1], p), new[2], p)
+        phi = [_form_divexact(f, g, p) for f in new]
+        if len(phi[0]) - 1 != deg:
+            raise DegenerateConfiguration(f"degree {len(phi[0]) - 1} after undo, expected {deg}")
+    if len(phi[0]) - 1 != intersect(e, line_class(e.n)):
+        raise DegenerateConfiguration("parametrization degree")
+    return phi
+
+
+def _reference_syzygy_degree(forms, p):
+    """The syzygy degree of three coprime forms of degree d from one rank of
+    their (d+e+1) x 3(e+1) coefficient matrix at e = floor((d-1)/2)."""
+    d = len(forms[0]) - 1
+    if d == 0:
+        return 0
+    e = (d - 1) // 2
+    m = [[0] * (3 * (e + 1)) for _ in range(d + e + 1)]
+    for idx, f in enumerate(forms):
+        for k in range(e + 1):
+            for j, c in enumerate(f):
+                m[j + k][idx * (e + 1) + k] = c
+    nullity = 3 * (e + 1) - FpMatrix(m, p).rank()
+    return e + 1 - nullity if nullity else d // 2
+
+
+def _reference_once(e, pts, p):
+    """``_splitting_once`` by the form route, for the given points."""
+    phi = _reference_parametrize(e, pts, p)
+    d = len(phi[0]) - 1
+    a = _reference_syzygy_degree(phi, p)
+    st_ = SplittingType(a, d - a)
+    if st_ not in candidate_pairs(d, max(e.m)):
+        raise DegenerateConfiguration(f"type {st_} outside the allowed range")
+    return st_
+
+
+def _evaluate(forms, t, p):
+    """The point (f_0(t), f_1(t), f_2(t)) at v = 1, u = t."""
+    return [sum(c * pow(int(t), i, p) for i, c in enumerate(f)) % p for f in forms]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateConfiguration:
+        return "degenerate"
+
+
 def test_parametrize_interpolates_multiplicities():
-    import numpy as np
-
-    from fatpt.exactla import FpMatrix, form_gcd
-
     e = parse_class("5;3,2,2,2,1,1,1,1,1")
-    phi, config = parametrize(e)
-    assert [f.degree for f in phi] == [5, 5, 5]
-    p = config.p
+    p = 31991
+    config = draw_points(e.n, p, DEFAULT_SEED)
+    phi = _reference_parametrize(e, config.as_array(), p)
+    assert [len(f) - 1 for f in phi] == [5, 5, 5]
     for i, m in enumerate(e.m):
         # two independent lines through point i; the parameter values mapped
         # onto the point are exactly their common pullback roots, so the
@@ -116,11 +294,126 @@ def test_parametrize_interpolates_multiplicities():
         pt = np.array([config.points[i]], dtype=np.int64) % p
         lines = FpMatrix(pt, p).nullspace().a
         assert lines.shape == (2, 3)
-        pulls = [
-            phi[0].scale(int(r[0])) + phi[1].scale(int(r[1])) + phi[2].scale(int(r[2]))
-            for r in lines
-        ]
-        assert form_gcd(pulls[0], pulls[1]).degree == m, (i, m)
+        pulls = [_form_comb(r, phi, p) for r in lines]
+        assert len(_form_gcd(pulls[0], pulls[1], p)) - 1 == m, (i, m)
+    # The point route samples the same curve: each point is a nonzero
+    # multiple of phi at its parameter.
+    t, pts = parametrize(e, p, DEFAULT_SEED)
+    assert len(t) == 11 == len(set(t.tolist()))
+    for tj, pj in zip(t, pts):
+        ref = np.array(_evaluate(phi, tj, p), dtype=object)
+        assert ref.any() and not (np.cross(ref, pj.astype(object)) % p).any()
+
+
+_SPLIT_CLASSES = [e for e in enumerate_exceptional(16) if intersect(e, line_class(e.n)) >= 2]
+_RANDOMIZED_CLASSES = [e for e in _SPLIT_CLASSES if forced_type(e.t, max(e.m)) is None]
+
+
+@given(
+    st.one_of(st.sampled_from(_RANDOMIZED_CLASSES), st.sampled_from(_SPLIT_CLASSES)),
+    st.sampled_from([53, 1009, 31991, 2**31 - 1]),
+    st.integers(0, 2**63 - 1),
+)
+@settings(max_examples=150)
+def test_point_route_matches_form_route(e, p, seed):
+    # The same type, or DegenerateConfiguration from both.
+    pts = draw_points(max(e.n, 3), p, seed).as_array()
+    assert _outcome(_splitting_once, e, p, seed) == _outcome(_reference_once, e, pts, p)
+
+
+def _both_reject(e, pts, p, monkeypatch):
+    """Both routes reject the draw ``pts``; returns whether it got past the
+    forward replay, so that only the checks of the undo could reject it."""
+    pts = np.asarray(pts, dtype=np.int64) % p
+    with pytest.raises(DegenerateConfiguration):
+        _reference_once(e, pts, p)
+    config = PointConfiguration(tuple(tuple(int(v) for v in row) for row in pts), p)
+    monkeypatch.setattr(splitting, "draw_points", lambda n, p, seed: config)
+    with pytest.raises(DegenerateConfiguration):
+        _splitting_once(e, p, 0)
+    try:
+        _replay_points(line_reduction(e)[0], pts, p)
+    except DegenerateConfiguration:
+        return False
+    return True
+
+
+def test_collinear_points_rejected_by_both_routes(monkeypatch):
+    # Three collinear points whose multiplicities sum past d: the line
+    # through them meets the curve too often, so no curve of class e passes
+    # through the configuration. Most such draws put three collinear points
+    # into one Cremona's centers, or a point onto a center; the rest reach
+    # the undo.
+    p = 31991
+    rng = np.random.default_rng(41)
+    past_forward = 0
+    for e in _RANDOMIZED_CLASSES:
+        for i, j, k in itertools.combinations(range(e.n), 3):
+            if e.m[i] + e.m[j] + e.m[k] <= e.t:
+                continue
+            pts = rng.integers(1, p, size=(e.n, 3))
+            pts[k] = 3 * pts[i] + 5 * pts[j]
+            past_forward += _both_reject(e, pts, p, monkeypatch)
+    assert past_forward >= 5
+
+
+def test_six_points_on_a_conic_rejected_by_both_routes(monkeypatch):
+    # Six points on one conic whose multiplicities sum past 2d: the conic
+    # meets the curve too often.
+    p = 31991
+    rng = np.random.default_rng(43)
+    past_forward = 0
+    for e in _RANDOMIZED_CLASSES:
+        for six in itertools.islice(itertools.combinations(range(e.n), 6), 40):
+            if sum(e.m[i] for i in six) <= 2 * e.t:
+                continue
+            pts = rng.integers(1, p, size=(e.n, 3))
+            s = rng.choice(np.arange(1, p), size=6, replace=False)
+            conic = np.stack([s * s % p, s, np.ones(6, dtype=np.int64)], axis=1)
+            mix = rng.integers(0, p, size=(3, 3))
+            pts[list(six)] = (conic[:, None, :] * mix % p).sum(axis=2) % p
+            past_forward += _both_reject(e, pts, p, monkeypatch)
+    assert past_forward >= 50
+
+
+@pytest.mark.extended
+def test_every_draw_matches_form_route():
+    # Every (trial, attempt) draw of every randomized class up to degree 22,
+    # under the seed rule of the commands at two master seeds.
+    p = 31991
+    classes = [
+        e
+        for e in enumerate_exceptional(22)
+        if intersect(e, line_class(e.n)) >= 1 and forced_type(e.t, max(e.m)) is None
+    ]
+    draws = 0
+    for master in (DEFAULT_SEED, 1):
+        seed = derive_seed(master, 757)
+        for e in classes:
+            for trial in range(3):
+                for attempt in range(RETRY_CAP):
+                    s = derive_seed(seed, trial, attempt)
+                    pts = draw_points(max(e.n, 3), p, s).as_array()
+                    got = _outcome(_splitting_once, e, p, s)
+                    assert got == _outcome(_reference_once, e, pts, p), (e, s)
+                    draws += 1
+                    if got != "degenerate":
+                        break
+    assert draws >= 2 * 3 * len(classes)
+
+
+def test_compute_splitting_checks_the_prime_once(monkeypatch):
+    calls = []
+    is_prime = exactla.is_prime
+    monkeypatch.setattr(exactla, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    e = parse_class("8;3,3,3,3,3,3,3,1,1")  # not forced: degree 8 > 2*3 + 1
+    compute_splitting(e, 31991, 1, 3)
+    assert calls == [31991]
+
+
+def test_compute_splitting_rejects_composite_prime():
+    with pytest.raises(InputError, match="not prime"):
+        compute_splitting(parse_class("8;3,3,3,3,3,3,3,1,1"), 15)
 
 
 def test_predict_report_frozen():
