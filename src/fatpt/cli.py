@@ -112,6 +112,9 @@ def _resolve_job(args) -> JobSpec:
     trials = getattr(args, "trials", 3)
     if trials < 1:
         raise InputError(f"--trials {trials}: the vote needs at least one trial")
+    ceiling = getattr(args, "ceiling", DEFAULT_COLUMN_CEILING)
+    if ceiling < 1:
+        raise InputError(f"--ceiling {ceiling}: the H0 matrix needs at least one column")
     return JobSpec(
         command=args.command,
         degrees=degrees,
@@ -119,7 +122,7 @@ def _resolve_job(args) -> JobSpec:
         seed=seed,
         trials=trials,
         fmt=fmt,
-        ceiling=getattr(args, "ceiling", DEFAULT_COLUMN_CEILING),
+        ceiling=ceiling,
     )
 
 

@@ -42,7 +42,7 @@ from .exactla import DEFAULT_PRIME, FpMatrix, PrimeField
 from .lattice import DivisorClass, FatPointScheme, binom2, class_of, intersect, line_class, point_class
 from .linsys import expected_h0
 from .splitting import DEFAULT_SEED, RETRY_CAP, SplittingType, derive_seed, splitting_of
-from .weyl import WeylWord, apply_word, is_exceptional, reduce
+from .weyl import WeylWord, _is_point_terminal, apply_word, is_exceptional, reduce
 
 DEFAULT_COLUMN_CEILING = 16000
 
@@ -210,11 +210,9 @@ def predicted_cokernel(m: int, st: SplittingType) -> int:
 def reduction_to_point(e: DivisorClass) -> WeylWord:
     """A word sending e to E_1 (Cremona reduction plus slot swaps)."""
     r = reduce(e)
-    term = r.reduced
-    if not (term.t == 0 and term.m[-1] == -1 and not any(term.m[:-1])):
+    if not _is_point_terminal(r.reduced):
         raise InputError(f"{e} is not an exceptional class")
-    n = term.n
-    return WeylWord(r.word.ops + tuple(range(n - 1, 0, -1)))
+    return WeylWord(r.word.ops + tuple(range(r.reduced.n - 1, 0, -1)))
 
 
 def _formula_cokernel(

@@ -214,7 +214,8 @@ def parametrize(
     The final line of the replayed configuration is P = t A + B for its
     first two points A and B; each parameter t = 0, 1, 2, ... is pushed
     back through the reduction, and parameters that hit a base point of
-    some undo are dropped. The caller validates p.
+    some undo are dropped (t = 0 often is, so the first batch has one spare
+    parameter). The caller validates p.
     """
     word, _ = line_reduction(e)
     d = intersect(e, line_class(e.n))
@@ -225,7 +226,7 @@ def parametrize(
     ts, curve = [], []
     start = 0
     while need > 0 and start < p:
-        t = np.arange(start, min(start + need, p), dtype=np.int64)
+        t = np.arange(start, min(start + need + (start == 0), p), dtype=np.int64)
         start += len(t)
         image, alive = _undo_cremonas(mats, (t[:, None] * pts[0] % p + pts[1]) % p, p)
         ts.append(t[alive])
@@ -233,7 +234,7 @@ def parametrize(
         need -= int(alive.sum())
     if need > 0:
         raise DegenerateConfiguration(f"fewer than {2 * d + 1} parameters of F_{p} avoid the base points")
-    return np.concatenate(ts), np.concatenate(curve)
+    return np.concatenate(ts)[: 2 * d + 1], np.concatenate(curve)[: 2 * d + 1]
 
 
 def _splitting_once(e: DivisorClass, p: int, seed) -> SplittingType:
@@ -258,10 +259,7 @@ def compute_splitting(
     if trials < 1:
         raise InputError(f"trials {trials}: the vote needs at least one trial")
     PrimeField(p)
-    if not is_exceptional(e):
-        raise InputError(f"{e} is not an exceptional class")
-    if intersect(e, line_class(e.n)) < 1:
-        raise InputError("point classes E_i have no plane image to split")
+    split_bounds(e)
     votes: Counter[SplittingType] = Counter()
     for trial in range(trials):
         for attempt in range(RETRY_CAP):

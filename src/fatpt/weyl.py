@@ -15,6 +15,10 @@ degree. Terminal statuses:
 
 A class is effective only if reduction ends InChamber with the visible free
 part; NegL / NegLine witnesses non-effectivity.
+
+``reduce`` is the one reduction loop. A class is exceptional when it ends at
+a point class E_i; ``line_reduction`` is its word cut before the last s_0;
+``enumerate_exceptional`` walks the tree of its first step.
 """
 
 from __future__ import annotations
@@ -149,16 +153,17 @@ def reduce(f: DivisorClass) -> ReducedForm:
     return ReducedForm(DivisorClass(t, tuple(m)), WeylWord(tuple(ops)), status)
 
 
+def _is_point_terminal(reduced: DivisorClass) -> bool:
+    """Whether a terminal of ``reduce`` is the point class E_n."""
+    return reduced.t == 0 and reduced.m[-1] == -1 and not any(reduced.m[:-1])
+
+
 def is_exceptional(e: DivisorClass) -> bool:
     """True for Weyl images of the point classes E_i: self-intersection -1,
     K.E = -1, and reduction terminates at a single -1 multiplicity."""
-    if e.n == 0:
+    if selfint(e) != -1 or intersect(canonical_class(e.n), e) != -1:
         return False
-    k = canonical_class(e.n)
-    if selfint(e) != -1 or intersect(k, e) != -1:
-        return False
-    r = reduce(e).reduced
-    return r.t == 0 and r.m[-1] == -1 and all(v == 0 for v in r.m[:-1])
+    return _is_point_terminal(reduce(e).reduced)
 
 
 def orbit_of_line(c: DivisorClass) -> WeylWord | None:
@@ -170,82 +175,58 @@ def orbit_of_line(c: DivisorClass) -> WeylWord | None:
     return r.word.inverse()
 
 
-def _canon(t: int, m: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    ms = tuple(sorted(m, reverse=True))
-    while ms and ms[-1] == 0:
-        ms = ms[:-1]
-    return t, ms
-
-
 def enumerate_exceptional(max_degree: int) -> list[DivisorClass]:
     """All exceptional classes with 1 <= E.L <= max_degree, canonicalized
     (multiplicities sorted descending, trailing zeros stripped), sorted by
     (degree, multiplicities).
 
-    Walks the Weyl orbit upward from the line through two points: applying
-    s_0 to every 3-element multiset of multiplicity values (with up to three
-    virtual zero slots) reaches every exceptional class, because reduction
-    strictly decreases degree and its inverse steps are among these moves.
+    Walks the tree of ``reduce``'s first step from the line through two
+    points, so each class comes out once (reverse search). Above degree 1,
+    s_0 on the three largest multiplicities (each becomes d - m_j - m_k >= 0)
+    gives a class's one parent; the children of (t, m) raise one value triple
+    v1 >= v2 >= v3 of m and three zeros by c = t - v1 - v2 - v3 > 0, when the
+    raised values stay the three largest.
     """
-    if max_degree < 1:
-        return []
-    start = _canon(1, (1, 1))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for t, m in frontier:
-            values = list(m) + [0, 0, 0]
-            triples = set()
-            for a in range(len(values) - 2):
-                for b in range(a + 1, len(values) - 1):
-                    for c in range(b + 1, len(values)):
-                        triples.add((values[a], values[b], values[c]))
-            for v1, v2, v3 in triples:
-                c0 = t - v1 - v2 - v3
-                t2 = t + c0
-                if not (1 <= t2 <= max_degree):
-                    continue
-                rest = list(m) + [0, 0, 0]
-                for v in (v1, v2, v3):
-                    rest.remove(v)
-                child = _canon(t2, tuple(rest + [v1 + c0, v2 + c0, v3 + c0]))
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    out = [DivisorClass(t, m) for t, m in sorted(seen)]
-    return out
+    found = []
+    stack = [(1, (1, 1))] if max_degree >= 1 else []
+    while stack:
+        t, m = stack.pop()
+        found.append((t, m))
+        vals = m + (0, 0, 0)
+        # Each value triple is taken at the first slots its values occupy.
+        firsts = [i for i, v in enumerate(vals) if i == 0 or v != vals[i - 1]]
+        for a in firsts:
+            for b in [a + 1] + [i for i in firsts if i > a + 1]:
+                low = t - vals[a] - vals[b]  # the smallest raised value
+                if low + t - vals[b + 1] > max_degree:
+                    break
+                for c in [b + 1] + [i for i in firsts if i > b + 1]:
+                    t2 = low + t - vals[c]
+                    if t2 > max_degree:
+                        break
+                    top = 0 if a else 1 if b > 1 else 2 if c > 2 else 3  # largest kept
+                    if t2 > t and low >= vals[top]:
+                        kept = vals[:a] + vals[a + 1 : b] + vals[b + 1 : c] + vals[c + 1 :]
+                        child = (t - vals[b] - vals[c], t - vals[a] - vals[c], low) + kept
+                        stack.append((t2, child[: len(child) - child.count(0)]))
+    found.sort()
+    return [DivisorClass(t, m) for t, m in found]
 
 
 def line_reduction(e: DivisorClass) -> tuple[WeylWord, DivisorClass]:
     """Reduce an exceptional class of degree >= 1 just far enough to reach a
     degree-1 class (the proper transform of a line through two points).
 
-    Returns (word, terminal class); the terminal has sorted multiplicities
-    (1, 1, 0, ..., 0).
+    Returns (word, terminal class (1; 1, 1, 0, ..., 0)): ``reduce``'s word
+    cut before its last s_0, which sends that line to a point.
     """
     if intersect(e, line_class(e.n)) < 1:
         raise InputError("line reduction needs a class of degree >= 1")
-    g = e.pad_to(3) if e.n < 3 else e
-    t, m = g.t, list(g.m)
-    ops: list[int] = []
-    while True:
-        ops.extend(_sort_ops(m))
-        if t == 1:
-            break
-        c = t - m[0] - m[1] - m[2]
-        if c >= 0:
-            raise InputError(f"class {e} is not in the line orbit")
-        ops.append(CREMONA)
-        t += c
-        m[0] += c
-        m[1] += c
-        m[2] += c
-    term = DivisorClass(t, tuple(m))
-    if term.m[: 2] != (1, 1) or any(term.m[2:]):
+    r = reduce(e)
+    if not _is_point_terminal(r.reduced):
         raise InputError(f"class {e} is not in the line orbit")
-    return WeylWord(tuple(ops)), term
+    cut = max(i for i, g in enumerate(r.word.ops) if g == CREMONA)
+    return WeylWord(r.word.ops[:cut]), DivisorClass(1, (1, 1) + (0,) * (r.reduced.n - 2))
 
 
 def exceptional_points(w: WeylWord, n: int) -> list[DivisorClass]:

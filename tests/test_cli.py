@@ -340,3 +340,30 @@ def test_rejects_trials_below_one(argv, trials):
     assert proc.stdout == ""
     assert "--trials" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("ceiling", ["-1", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-cokernel", "--class", "8;3,3,3,3,3,3,3,1,1", "--m", "5"],
+        ["sweep", "--max-degree", "13", "--verify"],
+    ],
+    ids=["verify-cokernel", "sweep"],
+)
+def test_rejects_ceiling_below_one(argv, ceiling):
+    # verify-cokernel used to report these as infeasible (exit 1), and sweep
+    # as exit 0 with every escape skipped.
+    src = os.path.dirname(os.path.dirname(fatpt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fatpt", *argv, "--ceiling", ceiling],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--ceiling" in proc.stderr
+    assert "Traceback" not in proc.stderr

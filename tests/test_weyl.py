@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -227,3 +229,109 @@ def test_line_reduction_trail():
     word, terminal = line_reduction(e)
     assert terminal == DivisorClass(1, (1, 1) + (0,) * (terminal.n - 2))
     assert apply_word(word, e) == terminal
+
+
+def _reference_line_reduction(e):
+    """Reference: the reduction loop that stops at the first degree-1 class."""
+    if intersect(e, line_class(e.n)) < 1:
+        raise InputError("line reduction needs a class of degree >= 1")
+    g = e.pad_to(3) if e.n < 3 else e
+    t, m = g.t, list(g.m)
+    ops = []
+    while True:
+        for i in range(1, len(m)):
+            j = i
+            while j > 0 and m[j - 1] < m[j]:
+                m[j - 1], m[j] = m[j], m[j - 1]
+                ops.append(j)
+                j -= 1
+        if t == 1:
+            break
+        c = t - m[0] - m[1] - m[2]
+        if c >= 0:
+            raise InputError(f"class {e} is not in the line orbit")
+        ops.append(CREMONA)
+        t += c
+        m[0] += c
+        m[1] += c
+        m[2] += c
+    term = DivisorClass(t, tuple(m))
+    if term.m[:2] != (1, 1) or any(term.m[2:]):
+        raise InputError(f"class {e} is not in the line orbit")
+    return WeylWord(tuple(ops)), term
+
+
+def _canon(t, m):
+    ms = tuple(sorted(m, reverse=True))
+    while ms and ms[-1] == 0:
+        ms = ms[:-1]
+    return t, ms
+
+
+@lru_cache(maxsize=None)
+def _reference_enumerate(max_degree):
+    """Reference: breadth-first walk of every s_0 move (on each value triple
+    of the multiplicities plus three zeros) from the line through two points,
+    keeping a set of the classes seen."""
+    if max_degree < 1:
+        return []
+    start = _canon(1, (1, 1))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for t, m in frontier:
+            values = list(m) + [0, 0, 0]
+            triples = set()
+            for a in range(len(values) - 2):
+                for b in range(a + 1, len(values) - 1):
+                    for c in range(b + 1, len(values)):
+                        triples.add((values[a], values[b], values[c]))
+            for v1, v2, v3 in triples:
+                c0 = t - v1 - v2 - v3
+                t2 = t + c0
+                if not (1 <= t2 <= max_degree):
+                    continue
+                rest = list(m) + [0, 0, 0]
+                for v in (v1, v2, v3):
+                    rest.remove(v)
+                child = _canon(t2, tuple(rest + [v1 + c0, v2 + c0, v3 + c0]))
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+        frontier = nxt
+    return [DivisorClass(t, m) for t, m in sorted(seen)]
+
+
+@pytest.mark.parametrize("max_degree", range(-1, 19))
+def test_enumeration_matches_breadth_first_reference(max_degree):
+    classes = enumerate_exceptional(max_degree)
+    assert classes == _reference_enumerate(max_degree)
+    assert len(set(classes)) == len(classes)
+
+
+@pytest.mark.extended
+def test_enumeration_to_degree_28_matches_reference():
+    classes = enumerate_exceptional(28)
+    assert len(classes) == 17382
+    assert classes == _reference_enumerate(28)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_line_reduction_matches_reference_loop(data):
+    """Shuffled slots and padded zeros of exceptional classes of degree <= 16:
+    the cut of reduce's word equals the reference loop's word and terminal."""
+    e = data.draw(st.sampled_from(_reference_enumerate(16)))
+    pad = data.draw(st.integers(0, 3))
+    f = DivisorClass(e.t, tuple(data.draw(st.permutations(e.m + (0,) * pad))))
+    assert line_reduction(f) == _reference_line_reduction(f)
+
+
+@pytest.mark.parametrize("text", ["1;1", "2;1,1", "0;-1", "1;"])
+def test_line_reduction_rejects_non_line_orbit(text):
+    e = parse_class(text)
+    with pytest.raises(InputError):
+        line_reduction(e)
+    with pytest.raises(InputError):
+        _reference_line_reduction(e)
