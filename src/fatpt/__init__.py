@@ -3,7 +3,7 @@ graded Betti numbers, exceptional curves and their splitting types, with
 exact verification over prime fields."""
 
 from .errors import ConjectureViolation, DegenerateConfiguration, InfeasibleError, InputError
-from .exactla import DEFAULT_PRIME, FpMatrix, PrimeField, min_syzygy_degree
+from .exactla import DEFAULT_PRIME, PrimeField, min_syzygy_degree
 from .lattice import (
     DivisorClass,
     FatPointScheme,
@@ -25,14 +25,12 @@ from .weyl import (
     NEG_L,
     NEG_LINE,
     ReducedForm,
-    WeylWord,
     apply_word,
     enumerate_exceptional,
     format_word,
     is_exceptional,
     line_reduction,
     orbit_of_line,
-    parse_word,
     reduce,
 )
 from .linsys import (
@@ -47,7 +45,6 @@ from .linsys import (
 )
 from .splitting import (
     DEFAULT_SEED,
-    PointConfiguration,
     SplitPrediction,
     SplittingType,
     compute_splitting,
@@ -63,8 +60,6 @@ from .cokernel import (
     MuVerdict,
     cok_dimension,
     fat_point_matrix,
-    h0_mE,
-    h1_mE,
     mu_rank_oracle,
     predicted_cokernel,
     splitting_of,

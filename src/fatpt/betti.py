@@ -93,20 +93,6 @@ def line_presentation(z: FatPointScheme):
     return h, tuple(comps)
 
 
-def _injectivity_obstructions(f: DivisorClass):
-    """(l, q, i) minimizing l_i + q_i over the point index, where
-    l_i = expected_h0(F - (L - E_i)) and q_i = expected_h0(F - E_i)."""
-    lcls = line_class(f.n)
-    best = None
-    for i in range(1, f.n + 1):
-        ei = point_class(i, f.n)
-        li = expected_h0(f - (lcls - ei))
-        qi = expected_h0(f - ei)
-        if best is None or li + qi < best[0] + best[1]:
-            best = (li, qi, i)
-    return best
-
-
 def _component_conjectural(k: int, st: SplittingType, d: int, m_max: int) -> bool:
     """Whether pricing a k-fold component of degree d and type (a, b) leaves
     the proven range: small twists (k <= a+2), near-balanced types
@@ -172,8 +158,12 @@ def betti_alpha_plus_one(
     if h0 == 1:
         return AlphaOneResult(h0_next - 3, None, "unique-section", EXACT)
 
-    l, q, idx = _injectivity_obstructions(f)
-    if l + q == 0:
+    # l_i = h0(F - (L - E_i)) and q_i = h0(F - E_i) obstruct injectivity;
+    # both vanishing at one point suffices.
+    lcls = line_class(f.n)
+    points = [point_class(i, f.n) for i in range(1, f.n + 1)]
+    ls = [expected_h0(f - (lcls - ei)) for ei in points]
+    if any(li == 0 and expected_h0(f - ei) == 0 for li, ei in zip(ls, points)):
         return AlphaOneResult(h0_next - 3 * h0, None, "injective", EXACT)
 
     pres = line_presentation(z)
@@ -187,12 +177,9 @@ def betti_alpha_plus_one(
     if expected_h1(f) > 0:
         return AlphaOneResult(None, None, "unknown", UNKNOWN)
 
-    lcls = line_class(f.n)
     lo = 0
     hi = None
-    for i in range(1, f.n + 1):
-        ei = point_class(i, f.n)
-        li = expected_h0(f - (lcls - ei))
+    for ei, li in zip(points, ls):
         qi_star = expected_h1(f - ei)
         li_star = expected_h1(f - (lcls - ei))
         lo = max(lo, a + 2 - 2 * h0 + li)

@@ -16,6 +16,12 @@ embeds the prime and seed it used, the list of classes whose splitting type
 came from the randomized pipeline ("provisional"), and whether the values
 rest on the dimension conjectures ("conjectural").
 
+Each handler takes the parsed arguments alone. ``_resolve_job`` runs first:
+it checks the ranges of --prime, --trials, --ceiling and --jobs in that
+order, so the same error comes first whichever of them are wrong, and writes
+the resolved prime and seed onto the arguments. ``hilbert`` parses its own
+--deg before anything else.
+
 ``sweep --jobs`` sizes the thread pool of both of its phases. Classification
 is pure-Python work that holds the interpreter lock: a plain loop there ran
 faster on two cores but its time followed the speed of the one core it ran
@@ -31,7 +37,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .betti import assemble_resolution
 from .cokernel import DEFAULT_COLUMN_CEILING, cok_dimension
@@ -49,21 +54,6 @@ from .splitting import (
 )
 from .weyl import enumerate_exceptional, format_word
 from . import weyl
-
-TSV_COMMANDS = {"hilbert", "resolution", "enumerate-exceptional", "sweep"}
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """Everything that determines a report byte for byte."""
-
-    command: str
-    degrees: tuple[int, int] | None
-    prime: int
-    seed: int
-    trials: int
-    fmt: str
-    ceiling: int
 
 
 def _int_token(text: str, origin: str) -> int:
@@ -85,45 +75,34 @@ def _parse_range(text: str, origin: str) -> tuple[int, int]:
     return v, v
 
 
-def _resolve_job(args) -> JobSpec:
-    prime = args.prime
-    if prime is None:
+def _resolve_job(args) -> None:
+    """Check the option ranges in a fixed order and write the resolved prime
+    and seed (the flag, else FATPT_PRIME / FATPT_SEED, else the default) onto
+    ``args``."""
+    if args.prime is None:
         raw = os.environ.get("FATPT_PRIME")
-        prime = _int_token(raw, "FATPT_PRIME") if raw is not None else DEFAULT_PRIME
-        origin = f"FATPT_PRIME {prime}"
+        args.prime = _int_token(raw, "FATPT_PRIME") if raw is not None else DEFAULT_PRIME
+        origin = f"FATPT_PRIME {args.prime}"
     else:
-        origin = f"--prime {prime}"
+        origin = f"--prime {args.prime}"
     try:
-        PrimeField(prime)
+        PrimeField(args.prime)
     except InputError as exc:
         raise InputError(f"{origin}: {exc}") from None
 
-    seed = getattr(args, "seed", None)
-    if seed is None:
+    if args.seed is None:
         raw = os.environ.get("FATPT_SEED")
-        seed = _int_token(raw, "FATPT_SEED") if raw is not None else DEFAULT_SEED
+        args.seed = _int_token(raw, "FATPT_SEED") if raw is not None else DEFAULT_SEED
 
-    degrees = None
-    if getattr(args, "deg", None) is not None:
-        degrees = _parse_range(args.deg, "--deg")
-    fmt = getattr(args, "format", "json")
-    if fmt == "tsv" and args.command not in TSV_COMMANDS:
-        raise InputError(f"--format tsv: not available for {args.command}")
     trials = getattr(args, "trials", 3)
     if trials < 1:
         raise InputError(f"--trials {trials}: the vote needs at least one trial")
     ceiling = getattr(args, "ceiling", DEFAULT_COLUMN_CEILING)
     if ceiling < 1:
         raise InputError(f"--ceiling {ceiling}: the H0 matrix needs at least one column")
-    return JobSpec(
-        command=args.command,
-        degrees=degrees,
-        prime=prime,
-        seed=seed,
-        trials=trials,
-        fmt=fmt,
-        ceiling=ceiling,
-    )
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        raise InputError(f"--jobs {jobs}: the pool needs at least one worker")
 
 
 def _value_cell(v) -> str:
@@ -138,19 +117,22 @@ def _value_json(v):
     return list(v) if isinstance(v, tuple) else v
 
 
-def _base_report(job: JobSpec, conjectural: bool, provisional=()) -> dict:
+def _base_report(args, conjectural: bool, provisional=()) -> dict:
     return {
-        "command": job.command,
-        "prime": job.prime,
-        "seed": job.seed,
+        "command": args.command,
+        "prime": args.prime,
+        "seed": args.seed,
         "conjectural": conjectural,
         "provisional": [format_class(c) for c in provisional],
     }
 
 
-def _cmd_hilbert(args, job: JobSpec):
+def _cmd_hilbert(args):
+    degrees = None
+    if args.deg is not None:
+        lo, hi = _parse_range(args.deg, "--deg")
+        degrees = range(lo, hi + 1)
     z = parse_mults(args.mults)
-    degrees = range(job.degrees[0], job.degrees[1] + 1) if job.degrees else None
     rep = hilbert(z, degrees)
     rows = []
     for t in sorted(rep.entries):
@@ -164,7 +146,7 @@ def _cmd_hilbert(args, job: JobSpec):
                 ],
             }
         )
-    report = _base_report(job, conjectural=True)
+    report = _base_report(args, conjectural=True)
     report.update({"scheme": format_mults(z), "alpha": rep.alpha, "rows": rows})
     tsv = (
         ("degree", "value", "fixed"),
@@ -180,9 +162,9 @@ def _cmd_hilbert(args, job: JobSpec):
     return report, tsv, 0
 
 
-def _cmd_resolution(args, job: JobSpec):
+def _cmd_resolution(args):
     z = parse_mults(args.mults)
-    table = assemble_resolution(z, args.imax, job.prime, job.seed)
+    table = assemble_resolution(z, args.imax, args.prime, args.seed)
     rows = []
     for ent in table.entries:
         g = ent.generators if ent.generators is not None else ent.generators_interval
@@ -195,7 +177,7 @@ def _cmd_resolution(args, job: JobSpec):
                 "flag": ent.flag,
             }
         )
-    report = _base_report(job, conjectural=True, provisional=table.provisional)
+    report = _base_report(args, conjectural=True, provisional=table.provisional)
     report.update(
         {
             "scheme": format_mults(z),
@@ -220,10 +202,10 @@ def _cmd_resolution(args, job: JobSpec):
     return report, tsv, 0
 
 
-def _cmd_reduce(args, job: JobSpec):
+def _cmd_reduce(args):
     f = parse_class(args.cls)
     rf = weyl.reduce(f)
-    report = _base_report(job, conjectural=False)
+    report = _base_report(args, conjectural=False)
     report.update(
         {
             "input": format_class(f),
@@ -236,10 +218,10 @@ def _cmd_reduce(args, job: JobSpec):
     return report, None, 0
 
 
-def _cmd_decompose(args, job: JobSpec):
+def _cmd_decompose(args):
     f = parse_class(args.cls)
     dec = decompose(f)
-    report = _base_report(job, conjectural=True)
+    report = _base_report(args, conjectural=True)
     report["input"] = format_class(f)
     if dec is None:
         report.update({"effective": False, "status": weyl.reduce(f).status})
@@ -259,11 +241,11 @@ def _cmd_decompose(args, job: JobSpec):
     return report, None, 0
 
 
-def _cmd_split(args, job: JobSpec):
+def _cmd_split(args):
     e = parse_class(args.cls)
     bounds = split_bounds(e)
-    st, provisional = splitting_of(e, job.prime, job.seed, job.trials)
-    report = _base_report(job, conjectural=False, provisional=(e,) if provisional else ())
+    st, provisional = splitting_of(e, args.prime, args.seed, args.trials)
+    report = _base_report(args, conjectural=False, provisional=(e,) if provisional else ())
     report.update(
         {
             "class": format_class(e),
@@ -272,17 +254,17 @@ def _cmd_split(args, job: JobSpec):
             "b": st.b,
             "forced": not provisional,
             "candidates": [[c.a, c.b] for c in bounds],
-            "trials": job.trials,
+            "trials": args.trials,
         }
     )
     return report, None, 0
 
 
-def _cmd_predict_split(args, job: JobSpec):
+def _cmd_predict_split(args):
     e = parse_class(args.cls)
-    pred = predict_report(e, job.prime, job.seed, job.trials)
+    pred = predict_report(e, args.prime, args.seed, args.trials)
     report = _base_report(
-        job, conjectural=True, provisional=(e,) if pred.provisional else ()
+        args, conjectural=True, provisional=(e,) if pred.provisional else ()
     )
     report.update(
         {
@@ -296,13 +278,13 @@ def _cmd_predict_split(args, job: JobSpec):
     return report, None, 0
 
 
-def _cmd_verify_cokernel(args, job: JobSpec):
+def _cmd_verify_cokernel(args):
     e = parse_class(args.cls)
     methods = ("formula", "oracle") if args.method == "both" else (args.method,)
     results = []
     verdicts = []
     for method in methods:
-        v = cok_dimension(e, args.m, job.prime, job.seed, method, job.ceiling)
+        v = cok_dimension(e, args.m, args.prime, args.seed, method, args.ceiling)
         verdicts.append(v)
         results.append(
             {
@@ -315,7 +297,7 @@ def _cmd_verify_cokernel(args, job: JobSpec):
     first = verdicts[0]
     agree = all(v.match for v in verdicts) and len({v.computed for v in verdicts}) == 1
     report = _base_report(
-        job, conjectural=False, provisional=(e,) if first.provisional else ()
+        args, conjectural=False, provisional=(e,) if first.provisional else ()
     )
     report.update(
         {
@@ -329,7 +311,7 @@ def _cmd_verify_cokernel(args, job: JobSpec):
     return report, None, (0 if agree else 3)
 
 
-def _cmd_enumerate(args, job: JobSpec):
+def _cmd_enumerate(args):
     classes = enumerate_exceptional(args.max_degree)
     rows = []
     for e in classes:
@@ -341,7 +323,7 @@ def _cmd_enumerate(args, job: JobSpec):
                 "forced": [st.a, st.b] if st is not None else None,
             }
         )
-    report = _base_report(job, conjectural=False)
+    report = _base_report(args, conjectural=False)
     report.update({"max_degree": args.max_degree, "count": len(classes), "rows": rows})
     tsv = (
         ("degree", "class", "a", "b"),
@@ -358,14 +340,12 @@ def _cmd_enumerate(args, job: JobSpec):
     return report, tsv, 0
 
 
-def _cmd_sweep(args, job: JobSpec):
-    if args.jobs is not None and args.jobs < 1:
-        raise InputError(f"--jobs {args.jobs}: the pool needs at least one worker")
+def _cmd_sweep(args):
     classes = enumerate_exceptional(args.max_degree)
     jobs = args.jobs or min(8, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         classified = list(
-            pool.map(lambda e: splitting_of(e, job.prime, job.seed, job.trials), classes)
+            pool.map(lambda e: splitting_of(e, args.prime, args.seed, args.trials), classes)
         )
     escapes = []
     provisional = []
@@ -380,7 +360,7 @@ def _cmd_sweep(args, job: JobSpec):
         {"class": format_class(e), "degree": e.t, "a": st.a, "b": st.b}
         for e, st in escapes
     ]
-    report = _base_report(job, conjectural=False, provisional=provisional)
+    report = _base_report(args, conjectural=False, provisional=provisional)
     report.update(
         {
             "max_degree": args.max_degree,
@@ -396,7 +376,7 @@ def _cmd_sweep(args, job: JobSpec):
             e, st = item
             try:
                 v = cok_dimension(
-                    e, st.b, job.prime, job.seed, "formula", job.ceiling, job.trials
+                    e, st.b, args.prime, args.seed, "formula", args.ceiling, args.trials
                 )
                 return {
                     "class": format_class(e),
@@ -519,9 +499,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        job = _resolve_job(args)
-        report, tsv, code = _HANDLERS[args.command](args, job)
-        if job.fmt == "tsv":
+        _resolve_job(args)
+        report, tsv, code = _HANDLERS[args.command](args)
+        if getattr(args, "format", "json") == "tsv":
             header, rows = tsv
             lines = ["\t".join(str(v) for v in header)]
             lines.extend("\t".join(str(v) for v in row) for row in rows)

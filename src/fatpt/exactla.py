@@ -4,7 +4,8 @@ Everything downstream (interpolation matrices, the syzygy degree of a
 rational curve read off its points, the multiplication-map verifier) reduces
 to ranks and nullspaces of integer matrices mod p. No floating point
 anywhere; a wrong rank would silently corrupt every prediction built on top,
-so the elimination (see _kernels) is deterministic.
+so the elimination (see _kernels) is deterministic. Matrices are plain int64
+arrays; ``_kernels.rank`` and ``_kernels.nullspace`` reduce a copy mod p.
 
 The default prime 31991 is large enough that random point configurations are
 almost surely generic and small enough that p**2 fits comfortably in int64.
@@ -51,47 +52,6 @@ class PrimeField:
             raise InputError(f"prime must satisfy 2 < p < 2**31, got {self.p}")
         if not is_prime(self.p):
             raise InputError(f"{self.p} is not prime")
-
-
-class FpMatrix:
-    """A dense matrix over F_p (int64 entries, row-major)."""
-
-    def __init__(self, entries, p: int = DEFAULT_PRIME):
-        self.p = p
-        a = np.asarray(entries, dtype=np.int64)
-        if a.ndim != 2:
-            raise InputError(f"matrix must be 2-dimensional, got shape {a.shape}")
-        self.a = np.ascontiguousarray(a % p)
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    def rank(self) -> int:
-        return _kernels.rank(self.a, self.p)
-
-    def nullspace(self) -> "FpMatrix":
-        """Canonical nullspace basis, one basis vector per row.
-
-        A 0 x k matrix has the full k-dimensional nullspace; an identity
-        matrix has an empty basis (0 rows).
-        """
-        return FpMatrix(_kernels.nullspace(self.a, self.p), self.p)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self.a.shape == other.a.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def __repr__(self):
-        return f"FpMatrix({self.rows}x{self.cols} mod {self.p})"
 
 
 def min_syzygy_degree(t, pts, d: int, p: int) -> int:

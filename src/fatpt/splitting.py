@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ConjectureViolation, DegenerateConfiguration, InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME, PrimeField, min_syzygy_degree
 from .lattice import DivisorClass, binom2, intersect, line_class, selfint
-from .weyl import CREMONA, WeylWord, exceptional_points, is_exceptional, line_reduction, orbit_of_line
+from .weyl import CREMONA, exceptional_points, is_exceptional, line_reduction, orbit_of_line
 
 DEFAULT_SEED = 20260814
 RETRY_CAP = 10
@@ -80,29 +80,15 @@ class SplittingType:
         return f"({self.a},{self.b})"
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
-    """n points of P^2 over F_p, rows of an (n, 3) int64 array."""
-
-    points: tuple[tuple[int, int, int], ...]
-    p: int = DEFAULT_PRIME
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.points, dtype=np.int64)
-
-
-def draw_points(n: int, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED) -> PointConfiguration:
-    """Uniform random points; all-zero rows are redrawn."""
+def draw_points(n: int, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED) -> np.ndarray:
+    """n uniform random points of P^2 over F_p, rows of an (n, 3) int64
+    array; all-zero rows are redrawn."""
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, p, size=(n, 3), dtype=np.int64)
     for i in range(n):
         while not pts[i].any():
             pts[i] = rng.integers(0, p, size=3, dtype=np.int64)
-    return PointConfiguration(tuple(tuple(int(v) for v in row) for row in pts), p)
+    return pts
 
 
 def candidate_pairs(d: int, m: int) -> tuple[SplittingType, ...]:
@@ -163,7 +149,7 @@ def _quadratic(y: np.ndarray, p: int) -> np.ndarray:
     return np.stack([y[:, 1] * y[:, 2], y[:, 0] * y[:, 2], y[:, 0] * y[:, 1]], axis=1) % p
 
 
-def _replay_points(word: WeylWord, pts: np.ndarray, p: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def _replay_points(word: tuple[int, ...], pts: np.ndarray, p: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Transport a point configuration through a reduction word.
 
     Swaps permute rows; each run of them is composed into one permutation
@@ -175,7 +161,7 @@ def _replay_points(word: WeylWord, pts: np.ndarray, p: int) -> tuple[np.ndarray,
     """
     order = list(range(len(pts)))
     mats: list[np.ndarray] = []
-    for op in word.ops:
+    for op in word:
         if op != CREMONA:
             order[op - 1], order[op] = order[op], order[op - 1]
             continue
@@ -219,7 +205,7 @@ def parametrize(
     """
     word, _ = line_reduction(e)
     d = intersect(e, line_class(e.n))
-    pts, mats = _replay_points(word, draw_points(max(e.n, 3), p, seed).as_array(), p)
+    pts, mats = _replay_points(word, draw_points(max(e.n, 3), p, seed), p)
     if not (pts[:2] != 0).any(axis=0).all():
         raise DegenerateConfiguration("degenerate final line")
     need = 2 * d + 1
@@ -306,7 +292,7 @@ def _type_of_conjugate(
 
 
 def defect_sum(
-    w: WeylWord,
+    w: tuple[int, ...],
     n: int,
     p: int = DEFAULT_PRIME,
     seed=DEFAULT_SEED,
@@ -317,7 +303,7 @@ def defect_sum(
     return _defect_pass(w, n, p, seed, trials)[0]
 
 
-def _defect_pass(w: WeylWord, n: int, p: int, seed, trials: int) -> tuple[int, bool]:
+def _defect_pass(w: tuple[int, ...], n: int, p: int, seed, trials: int) -> tuple[int, bool]:
     """(defect sum, whether any conjugate type came from the randomized
     pipeline), in one walk over the conjugate point classes."""
     total = 0

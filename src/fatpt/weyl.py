@@ -5,6 +5,10 @@ slots i and i+1) and the quadratic Cremona reflection s_0 in the root
 L - E_1 - E_2 - E_3. Every generator is an involution preserving the
 intersection form and the canonical class.
 
+A word is a tuple of generator indices, applied left to right: CREMONA (0)
+for s_0, i >= 1 for the swap s_i. Since every generator is an involution,
+the inverse of a word is its reverse.
+
 ``reduce`` drives a class into a terminal form by sorting multiplicities
 descending (recording adjacent swaps) and applying s_0 while it decreases the
 degree. Terminal statuses:
@@ -35,61 +39,18 @@ NEG_LINE = "NegLine"
 IN_CHAMBER = "InChamber"
 
 
-@dataclass(frozen=True)
-class WeylWord:
-    """A word in the generators, applied left to right.
-
-    ops[k] is CREMONA (0) for s_0 or i >= 1 for the swap s_i. Since every
-    generator is an involution, the inverse word is simply the reverse.
-    """
-
-    ops: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(int(v) for v in self.ops))
-        if any(v < 0 for v in self.ops):
-            raise InputError("word contains a negative generator index")
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def inverse(self) -> "WeylWord":
-        return WeylWord(tuple(reversed(self.ops)))
-
-    def __mul__(self, other: "WeylWord") -> "WeylWord":
-        """Concatenation: (w * u) F = u(w(F)) under left-to-right application."""
-        return WeylWord(self.ops + other.ops)
-
-    def __str__(self) -> str:
-        return format_word(self)
+def format_word(w: tuple[int, ...]) -> str:
+    return " ".join(f"s{i}" for i in w)
 
 
-def format_word(w: WeylWord) -> str:
-    return " ".join(f"s{i}" for i in w.ops)
-
-
-def parse_word(text: str) -> WeylWord:
-    toks = text.split()
-    ops = []
-    for tok in toks:
-        if not tok.startswith("s") or not tok[1:].isdigit():
-            raise InputError(f"bad generator {tok!r}: expected s<index>")
-        ops.append(int(tok[1:]))
-    return WeylWord(tuple(ops))
-
-
-def apply_generator(f: DivisorClass, g: int) -> DivisorClass:
-    """One generator: the one-op case of ``apply_word``."""
-    return apply_word(WeylWord((g,)), f)
-
-
-def apply_word(w: WeylWord, f: DivisorClass, inverse: bool = False) -> DivisorClass:
+def apply_word(w: tuple[int, ...], f: DivisorClass, inverse: bool = False) -> DivisorClass:
     """w(f), generators applied left to right (right to left, that is
     w^{-1}(f), for ``inverse``). Folds over the (t, list) pair and builds one
-    class at the end. Swaps s_i need n > i; Cremona needs n >= 3."""
+    class at the end. Every generator index needs 0 <= g < n, and Cremona
+    needs n >= 3."""
     n = f.n
     t, m = f.t, list(f.m)
-    for g in reversed(w.ops) if inverse else w.ops:
+    for g in reversed(w) if inverse else w:
         if g == CREMONA:
             if n < 3:
                 raise InputError("Cremona needs at least 3 multiplicity slots")
@@ -98,10 +59,10 @@ def apply_word(w: WeylWord, f: DivisorClass, inverse: bool = False) -> DivisorCl
             m[0] += c
             m[1] += c
             m[2] += c
-        else:
-            if g >= n:
-                raise InputError(f"swap s{g} out of range for {n} points")
+        elif 0 < g < n:
             m[g - 1], m[g] = m[g], m[g - 1]
+        else:
+            raise InputError(f"swap s{g} out of range for {n} points")
     return DivisorClass(t, tuple(m))
 
 
@@ -114,7 +75,7 @@ class ReducedForm:
     """
 
     reduced: DivisorClass
-    word: WeylWord
+    word: tuple[int, ...]
     status: str
 
 
@@ -150,7 +111,7 @@ def reduce(f: DivisorClass) -> ReducedForm:
         m[0] += c
         m[1] += c
         m[2] += c
-    return ReducedForm(DivisorClass(t, tuple(m)), WeylWord(tuple(ops)), status)
+    return ReducedForm(DivisorClass(t, tuple(m)), tuple(ops), status)
 
 
 def _is_point_terminal(reduced: DivisorClass) -> bool:
@@ -166,13 +127,13 @@ def is_exceptional(e: DivisorClass) -> bool:
     return _is_point_terminal(reduce(e).reduced)
 
 
-def orbit_of_line(c: DivisorClass) -> WeylWord | None:
+def orbit_of_line(c: DivisorClass) -> tuple[int, ...] | None:
     """A word w with apply_word(w, L) == c, when c is in the orbit of L
     (equivalently reduce(c) terminates at L); None otherwise."""
     r = reduce(c)
     if r.reduced != line_class(r.reduced.n):
         return None
-    return r.word.inverse()
+    return r.word[::-1]
 
 
 def enumerate_exceptional(max_degree: int) -> list[DivisorClass]:
@@ -213,7 +174,7 @@ def enumerate_exceptional(max_degree: int) -> list[DivisorClass]:
     return [DivisorClass(t, m) for t, m in found]
 
 
-def line_reduction(e: DivisorClass) -> tuple[WeylWord, DivisorClass]:
+def line_reduction(e: DivisorClass) -> tuple[tuple[int, ...], DivisorClass]:
     """Reduce an exceptional class of degree >= 1 just far enough to reach a
     degree-1 class (the proper transform of a line through two points).
 
@@ -225,11 +186,11 @@ def line_reduction(e: DivisorClass) -> tuple[WeylWord, DivisorClass]:
     r = reduce(e)
     if not _is_point_terminal(r.reduced):
         raise InputError(f"class {e} is not in the line orbit")
-    cut = max(i for i, g in enumerate(r.word.ops) if g == CREMONA)
-    return WeylWord(r.word.ops[:cut]), DivisorClass(1, (1, 1) + (0,) * (r.reduced.n - 2))
+    cut = max(i for i, g in enumerate(r.word) if g == CREMONA)
+    return r.word[:cut], DivisorClass(1, (1, 1) + (0,) * (r.reduced.n - 2))
 
 
-def exceptional_points(w: WeylWord, n: int) -> list[DivisorClass]:
+def exceptional_points(w: tuple[int, ...], n: int) -> list[DivisorClass]:
     """The images w(E_i) for i = 1..n (classes of the exceptional curves
     after transporting by w)."""
     return [apply_word(w, point_class(i, n)) for i in range(1, n + 1)]

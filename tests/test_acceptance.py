@@ -44,8 +44,6 @@ from fatpt.splitting import (
 from fatpt.weyl import (
     CREMONA,
     NEG_L,
-    WeylWord,
-    apply_generator,
     apply_word,
     enumerate_exceptional,
     orbit_of_line,
@@ -127,7 +125,7 @@ def _best_of(runs, fn):
 def test_criterion_1_weyl_reduction(criterion):
     with criterion("1 (Weyl reduction, frozen triple, < 1 ms)"):
         f208, f209, f210 = (class_of(Z616, t) for t in (208, 209, 210))
-        assert apply_generator(f208, CREMONA) == parse_class(
+        assert apply_word((CREMONA,), f208) == parse_class(
             "185;54,54,54,77,77,77,77,44,11,11,11"
         )
         r208 = reduce(f208)
@@ -241,7 +239,7 @@ def test_criterion_8i_weyl_invariance(criterion):
         n = 8
         for _ in range(1000):
             ops = tuple(int(v) for v in rng.integers(0, n, size=rng.integers(1, 13)))
-            w = WeylWord(ops)
+            w = ops
             f = DivisorClass(int(rng.integers(-2, 21)),
                              tuple(int(v) for v in rng.integers(-3, 7, n)))
             g = DivisorClass(int(rng.integers(-2, 21)),
@@ -284,7 +282,7 @@ def test_criterion_8iii_expected_dims_vs_oracle(criterion):
                     pts = np.random.default_rng(
                         derive_seed(20260814, k, t, s)
                     ).integers(0, PRIME, size=(n, 3), dtype=np.int64)
-                    dim = fat_point_matrix(pts, t, mults, PRIME).nullspace().rows
+                    dim = _kernels.nullspace(fat_point_matrix(pts, t, mults, PRIME), PRIME).shape[0]
                     if dim != e:
                         mismatches.append((z, t, s, dim, e))
         assert mismatches == [], mismatches

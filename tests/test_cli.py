@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -255,6 +256,39 @@ def test_reports_byte_identical(capsys):
     first = capsys.readouterr().out
     assert run(argv) == 0
     assert capsys.readouterr().out == first
+
+
+# sha256 of each report's stdout (of stderr for a nonzero exit). A change
+# meant to leave reports byte-identical keeps these. The cases cover every
+# subcommand, JSON and TSV for the row-shaped ones, a non-default prime and
+# seed, and one rejected input.
+GOLDEN_REPORTS = [
+    ('hilbert --mults 5,5,4x3', 0, "dae019fdce309314f2cb82d1a63ea45f30977dff5811bc64d815bf61c7f11b20"),
+    ('hilbert --mults 77x7,44,11,11,11 --deg 208..211 --format tsv', 0, "e63f62ad0fd23e81fe5d063c72c399a97529778937025dfaafa5bb9ff5f4d3ae"),
+    ('resolution --mults 48,33x3,32x3,24,16', 0, "fd6f4942e06422890b2053fed8070fbfd891e7939b7683a63df95e66f82a2101"),
+    ('resolution --mults 3,3,2,1,1', 0, "5afc7543c90d8656553d3117c3f6e09c56b308121b0b136413f7108abb959201"),
+    ('resolution --mults 50,50,38,38,26,26,22,18,14,14 --format tsv', 0, "83d142d55553164e494c5952a96d5a91a0da76b56b9e2f2a65ee4c3e9745b6bc"),
+    ('reduce --class 209;77,77,77,77,77,77,77,44,11,11,11', 0, "2e67846b2d98da24e90edfba185763c239710fbe5a48569d4d5361b493d2fae4"),
+    ('decompose --class 3;2,2,-2', 0, "54713c39fe905b602ca119b61e0f5f7c3160a62e67bbfd88cc388c0ba6dd3514"),
+    ('split --class 13;5,5,5,5,5,5,4,1,1,1,1 --prime 1009 --seed 7', 0, "ed6ad48ce45b54ece8ab1d55f9741e4a96c24882fab05d6202dbd7ff5f3ebfbf"),
+    ('predict-split --class 12;5,5,5,4,4,4,4,2', 0, "00abe9c2acbbaa5d4284bca9e72d36c9fe8d0f231ba8dae3e09238f51cf2eb57"),
+    ('verify-cokernel --class 3;2,1,1,1,1,1,1 --m 3 --method both', 0, "a2212972539d89542e9e4be263161383987756cd87f3edccc751f2b388f28809"),
+    ('enumerate-exceptional --max-degree 6', 0, "cc57d768cedeeb0c2f03a8c3359eb8999ae439279700944c1cb606c29b33c94b"),
+    ('enumerate-exceptional --max-degree 6 --format tsv', 0, "7ed0208a657c27030b64c2c6e7610e28210af917a695b9b0d549bb311f48995c"),
+    ('sweep --max-degree 13 --verify --prime 2147483647', 0, "bf0606d77f29b163cc0ba6f83c4a5a1535ccf5bbe4a65eb999758b14dc2e8af5"),
+    ('sweep --max-degree 13 --trials 1 --format tsv', 0, "aff9b5ddfe7d1a36794161d2f939a59969cf3f8885b31d2301fbd1361494dc32"),
+    ('sweep --max-degree 3 --trials 0 --ceiling 0 --jobs 0', 2, "6586cc37c3893c0277612e0e351f615794a825c28f65b7db9f84a24416c643eb"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN_REPORTS, ids=[a for a, _, _ in GOLDEN_REPORTS])
+def test_golden_report_digests(capsys, argv, code, digest):
+    assert run(argv.split()) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+    text = out if code == 0 else err
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_env_prime_and_flag_precedence(capsys, monkeypatch):

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatpt import exactla, splitting
+from fatpt import _kernels, exactla, splitting
 from fatpt.cokernel import cok_dimension
 from fatpt.errors import DegenerateConfiguration, InputError
-from fatpt.exactla import FpMatrix
 from fatpt.lattice import DivisorClass, intersect, line_class, parse_class
 from fatpt.splitting import (
     DEFAULT_SEED,
     RETRY_CAP,
-    PointConfiguration,
     SplittingType,
     candidate_pairs,
     compute_splitting,
@@ -30,7 +28,7 @@ from fatpt.splitting import (
     _replay_points,
     _splitting_once,
 )
-from fatpt.weyl import CREMONA, WeylWord, enumerate_exceptional, exceptional_points, line_reduction, orbit_of_line
+from fatpt.weyl import CREMONA, enumerate_exceptional, exceptional_points, line_reduction, orbit_of_line
 
 
 def test_candidate_pairs_frozen():
@@ -204,7 +202,7 @@ def _degrees_before_cremonas(e, word):
     """The class degree before each Cremona of the word, in order."""
     t, m = e.t, list(e.pad_to(3).m if e.n < 3 else e.m)
     out = []
-    for op in word.ops:
+    for op in word:
         if op != CREMONA:
             m[op - 1], m[op] = m[op], m[op - 1]
             continue
@@ -254,7 +252,7 @@ def _reference_syzygy_degree(forms, p):
         for k in range(e + 1):
             for j, c in enumerate(f):
                 m[j + k][idx * (e + 1) + k] = c
-    nullity = 3 * (e + 1) - FpMatrix(m, p).rank()
+    nullity = 3 * (e + 1) - _kernels.rank(np.array(m, dtype=np.int64), p)
     return e + 1 - nullity if nullity else d // 2
 
 
@@ -285,14 +283,14 @@ def test_parametrize_interpolates_multiplicities():
     e = parse_class("5;3,2,2,2,1,1,1,1,1")
     p = 31991
     config = draw_points(e.n, p, DEFAULT_SEED)
-    phi = _reference_parametrize(e, config.as_array(), p)
+    phi = _reference_parametrize(e, config, p)
     assert [len(f) - 1 for f in phi] == [5, 5, 5]
     for i, m in enumerate(e.m):
         # two independent lines through point i; the parameter values mapped
         # onto the point are exactly their common pullback roots, so the
         # gcd degree is the multiplicity of the curve there
-        pt = np.array([config.points[i]], dtype=np.int64) % p
-        lines = FpMatrix(pt, p).nullspace().a
+        pt = np.array([config[i]], dtype=np.int64) % p
+        lines = _kernels.nullspace(pt, p)
         assert lines.shape == (2, 3)
         pulls = [_form_comb(r, phi, p) for r in lines]
         assert len(_form_gcd(pulls[0], pulls[1], p)) - 1 == m, (i, m)
@@ -317,7 +315,7 @@ _RANDOMIZED_CLASSES = [e for e in _SPLIT_CLASSES if forced_type(e.t, max(e.m)) i
 @settings(max_examples=150)
 def test_point_route_matches_form_route(e, p, seed):
     # The same type, or DegenerateConfiguration from both.
-    pts = draw_points(max(e.n, 3), p, seed).as_array()
+    pts = draw_points(max(e.n, 3), p, seed)
     assert _outcome(_splitting_once, e, p, seed) == _outcome(_reference_once, e, pts, p)
 
 
@@ -327,8 +325,7 @@ def _both_reject(e, pts, p, monkeypatch):
     pts = np.asarray(pts, dtype=np.int64) % p
     with pytest.raises(DegenerateConfiguration):
         _reference_once(e, pts, p)
-    config = PointConfiguration(tuple(tuple(int(v) for v in row) for row in pts), p)
-    monkeypatch.setattr(splitting, "draw_points", lambda n, p, seed: config)
+    monkeypatch.setattr(splitting, "draw_points", lambda n, p, seed: pts)
     with pytest.raises(DegenerateConfiguration):
         _splitting_once(e, p, 0)
     try:
@@ -393,7 +390,7 @@ def test_every_draw_matches_form_route():
             for trial in range(3):
                 for attempt in range(RETRY_CAP):
                     s = derive_seed(seed, trial, attempt)
-                    pts = draw_points(max(e.n, 3), p, s).as_array()
+                    pts = draw_points(max(e.n, 3), p, s)
                     got = _outcome(_splitting_once, e, p, s)
                     assert got == _outcome(_reference_once, e, pts, p), (e, s)
                     draws += 1
@@ -468,7 +465,7 @@ def _replay_points_reference(word, pts, p):
     """_replay_points in Python integers, one point at a time."""
     pts = [list(map(int, row)) for row in pts]
     mats = []
-    for op in word.ops:
+    for op in word:
         if op != CREMONA:
             pts[op - 1], pts[op] = pts[op], pts[op - 1]
             continue
@@ -502,8 +499,8 @@ def test_replay_points_at_largest_prime():
         for _ in range(3):
             ops += range(int(rng.integers(6, n)), 0, -1)
         ops.append(CREMONA)
-    word = WeylWord(tuple(ops))
-    pts = draw_points(n, p, seed=31).as_array()
+    word = tuple(ops)
+    pts = draw_points(n, p, seed=31)
     got, mats = _replay_points(word, pts, p)
     ref, ref_mats = _replay_points_reference(word, pts, p)
     assert got.tolist() == ref
