@@ -2,13 +2,20 @@
 
 The hot loop of the whole package is Gaussian elimination of integer matrices
 mod p (interpolation matrices for fat point schemes get large: thousands of
-rows and columns). ``rref`` does it with one vectorized outer-product update
-per pivot.
+rows and columns). Elimination runs in two phases, each one vectorized
+outer-product update per pivot:
 
-The pivot rule is deterministic (first nonzero entry in column order,
-scanning rows top-down), so ranks, pivot columns and reduced echelon forms
-are reproducible bit for bit; ``nullspace`` reads its canonical basis off
-that form.
+* the forward phase (``_forward``) brings the matrix to row echelon form,
+  scaling each pivot row to 1 and clearing only the rows below it;
+* the back phase clears the rows above each pivot, bottom pivot first, which
+  turns the echelon form into the reduced one.
+
+``rank`` needs only the pivot count and runs the forward phase alone. ``rref``
+runs both; ``nullspace`` reads its canonical basis off the reduced form. The
+pivot rule is deterministic (first nonzero entry in column order, scanning
+rows top-down), so ranks, pivot columns and reduced echelon forms are
+reproducible bit for bit, and the reduced form is the one Gauss-Jordan
+elimination with the same rule gives.
 
 Entries are int64 and every product is reduced immediately, so any modulus
 below 2**31 is overflow-safe (|a - f*b| < p**2 + p < 2**63).
@@ -19,12 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def rref(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
-    """Reduce ``a`` in place to reduced row echelon form mod p.
-
-    Returns (rank, pivot column indices). ``a`` must be int64, 2d,
-    C-contiguous, with entries already in [0, p).
-    """
+def _forward(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """Reduce ``a`` in place to row echelon form mod p: each pivot is 1 and
+    the entries below it are 0; rows above a pivot keep their entries in its
+    column. Returns (rank, pivot column indices); input as for ``rref``."""
     rows, cols = a.shape
     pivots = np.empty(min(rows, cols), dtype=np.int64)
     r = 0
@@ -39,20 +44,35 @@ def rref(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
             a[[r, piv]] = a[[piv, r]]
         inv = pow(int(a[r, c]), p - 2, p)
         a[r, c:] = a[r, c:] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        touched = np.nonzero(col)[0]
-        if touched.size:
-            a[touched, c:] = (a[touched, c:] - np.outer(col[touched], a[r, c:])) % p
+        # Rows r..piv-1 and the row swapped to piv are zero in column c, so
+        # the rows to clear are the other nonzeros found above.
+        below = r + nz[1:]
+        if below.size:
+            a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
         pivots[r] = c
         r += 1
     return r, pivots[:r]
 
 
+def rref(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """Reduce ``a`` in place to reduced row echelon form mod p.
+
+    Returns (rank, pivot column indices). ``a`` must be int64, 2d,
+    C-contiguous, with entries already in [0, p).
+    """
+    r, pivots = _forward(a, p)
+    for k in range(r - 1, 0, -1):
+        c = int(pivots[k])
+        above = np.nonzero(a[:k, c])[0]
+        if above.size:
+            a[above, c:] = (a[above, c:] - np.outer(a[above, c], a[k, c:])) % p
+    return r, pivots
+
+
 def rank(a: np.ndarray, p: int) -> int:
     """Rank of ``a`` mod p; ``a`` is not modified."""
     work = np.ascontiguousarray(a, dtype=np.int64) % p
-    r, _ = rref(work, p)
+    r, _ = _forward(work, p)
     return r
 
 

@@ -18,7 +18,13 @@ Two independent routes:
   correspond to degree-(d-1) multiples of H^0(L') lying in the proper ideal
   power at the two distinguished base points. Everything reduces to one large
   interpolation nullspace (H^0(L'), dimension 3) and one small rank over a
-  window of monomials; no Groebner bases anywhere.
+  window of monomials; no Groebner bases anywhere. The draw fixes a
+  coordinate frame: E's point sits at (0, 0, 1) and the two largest other
+  base points of L' at (1, 0, 0) and (0, 1, 0) (lower index first on a
+  tie); the rest are random. Three non-collinear points can always be moved
+  there, so the frame loses no generality, and a base point at a vertex
+  costs no rows: its conditions kill monomials outright (``h0_basis``), and
+  the nullspace runs on the other points' rows over the surviving columns.
 
 * oracle path (``method="oracle"``): build the fat point scheme of L + mE
   at independent random points, multiply its degree-t forms by x, y, z and
@@ -26,8 +32,11 @@ Two independent routes:
   path or point configuration with the formula route, which is the point.
 
 Random draws can only overestimate the cokernel (special position drops
-rank), so computed <= predicted failures retry and a persistent excess is
-reported, never hidden.
+rank). A draw with h0(L') != 3 is degenerate and is drawn again; so is a
+draw whose cokernel exceeds the prediction, up to RETRY_CAP draws in all.
+The smallest value seen is the result, so a persistent excess is reported,
+never hidden. The ``ceiling`` test counts all C(t'+2, 2) columns of degree
+t', killed or not.
 """
 
 from __future__ import annotations
@@ -85,16 +94,20 @@ def _pow_table(x: int, max_e: int, p: int) -> np.ndarray:
     return out
 
 
-def fat_point_matrix(points, d: int, mults, p: int = DEFAULT_PRIME) -> np.ndarray:
+def fat_point_matrix(points, d: int, mults, p: int = DEFAULT_PRIME, columns=None) -> np.ndarray:
     """Interpolation matrix: one row per vanishing condition (all partial
     derivatives of order m_i - 1 at the i-th point), one column per monomial
     of degree d. Multiplicity >= m at P is exactly the vanishing of the
-    C(m+1, 2) order-(m-1) partials there (Euler reduces lower orders)."""
+    C(m+1, 2) order-(m-1) partials there (Euler reduces lower orders).
+    ``columns`` (indices in the order of monomial_exponents) builds only
+    those columns."""
     pts = np.asarray(points, dtype=np.int64) % p
     mults = [int(v) for v in mults]
     if pts.shape[0] != len(mults):
         raise InputError(f"{pts.shape[0]} points but {len(mults)} multiplicities")
     exps = monomial_exponents(d)
+    if columns is not None:
+        exps = exps[columns]
     ii, jj, kk = exps[:, 0], exps[:, 1], exps[:, 2]
     nrows = sum(mu * (mu + 1) // 2 for mu in mults)
     mat = np.zeros((nrows, exps.shape[0]), dtype=np.int64)
@@ -118,6 +131,48 @@ def fat_point_matrix(points, d: int, mults, p: int = DEFAULT_PRIME) -> np.ndarra
                 mat[r] = np.where(ok, row, 0)
                 r += 1
     return mat
+
+
+def h0_basis(points, d: int, mults, p: int = DEFAULT_PRIME) -> np.ndarray:
+    """Canonical basis of the degree-d forms with multiplicity >= mults[i]
+    at points[i]: the rows of ``_kernels.nullspace(fat_point_matrix(...))``,
+    computed without the rows of points at coordinate vertices.
+
+    At a vertex, the point with one nonzero coordinate (say the z axis),
+    the order-(mu-1) partial with orders (o1, o2, mu-1-o1-o2) has a single
+    nonzero entry, o1! o2! ff(k, mu-1-o1-o2) times a power of that
+    coordinate, at the monomial x^o1 y^o2 z^k. So each of the point's
+    C(mu+1, 2) rows kills one monomial: i+j < mu at (0, 0, 1), j+k < mu at
+    (1, 0, 0), i+k < mu at (0, 1, 0) (a row whose entry is 0 mod p kills
+    nothing). A killed column is a pivot of the full matrix and is zero in
+    every other row of its reduced form, so the canonical basis is the
+    nullspace of the other points' rows on the surviving columns, with
+    zeros put back at the killed ones.
+    """
+    pts = np.asarray(points, dtype=np.int64) % p
+    mults = [int(v) for v in mults]
+    if pts.shape[0] != len(mults):
+        raise InputError(f"{pts.shape[0]} points but {len(mults)} multiplicities")
+    exps = monomial_exponents(d)
+    ff = _falling_table(d, max(max(mults, default=0) - 1, 0), p)
+    killed = np.zeros(exps.shape[0], dtype=bool)
+    rest = []
+    for i, (pt, mu) in enumerate(zip(pts, mults)):
+        nz = np.flatnonzero(pt)
+        if nz.size != 1:
+            rest.append(i)
+            continue
+        axis = int(nz[0])
+        o1, o2 = np.delete(exps, axis, axis=1).T
+        hit = np.flatnonzero(o1 + o2 < mu)
+        o1, o2 = o1[hit], o2[hit]
+        entry = ff[o1, o1] * ff[o2, o2] % p * ff[exps[hit, axis], mu - 1 - o1 - o2] % p
+        killed[hit[entry != 0]] = True
+    keep = np.flatnonzero(~killed)
+    sub = _kernels.nullspace(fat_point_matrix(pts[rest], d, [mults[i] for i in rest], p, keep), p)
+    basis = np.zeros((sub.shape[0], exps.shape[0]), dtype=np.int64)
+    basis[:, keep] = sub
+    return basis
 
 
 def mu_rank_oracle(
@@ -191,8 +246,16 @@ def reduction_to_point(e: DivisorClass) -> tuple[int, ...]:
     return r.word + tuple(range(r.reduced.n - 1, 0, -1))
 
 
+def _frame_slots(mu) -> list[int]:
+    """The slots drawn at the coordinate vertices (0, 0, 1), (1, 0, 0) and
+    (0, 1, 0): slot 0 (E's point), then the two largest other base points,
+    the lower index first on a tie."""
+    rest = sorted(range(1, len(mu)), key=lambda i: (-mu[i], i))
+    return [0, rest[0], rest[1]]
+
+
 def _formula_cokernel(
-    e: DivisorClass, m: int, p: int, seed, ceiling: int
+    e: DivisorClass, m: int, p: int, seed, ceiling: int, predicted: int
 ) -> tuple[int, dict]:
     d = intersect(e, line_class(e.n))
     word = reduction_to_point(e)
@@ -213,28 +276,33 @@ def _formula_cokernel(
             f"(degree {tp}); exceeds the {ceiling}-column ceiling"
         )
     window = 2 * d * m - binom2(m)
+    frame = _frame_slots(mu)
 
     rng_master = derive_seed(seed, 31)
+    best: int | None = None
     last_err: Exception | None = None
     for attempt in range(RETRY_CAP):
         rng = np.random.default_rng(derive_seed(rng_master, attempt))
         pts = rng.integers(0, p, size=(n, 3), dtype=np.int64)
-        pts[0] = (0, 0, 1)
-        basis = _kernels.nullspace(fat_point_matrix(pts, tp, mu, p), p)
+        pts[frame] = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+        basis = h0_basis(pts, tp, mu, p)
         if basis.shape[0] != 3:
             last_err = DegenerateConfiguration(
                 f"special configuration: h0 = {basis.shape[0]} != 3"
             )
             continue
-        prod = _product_matrix(basis, tp, d, m, p)
-        rank = _kernels.rank(prod, p)
-        return window - rank, {
-            "transported_degree": tp,
-            "matrix": (nrows, ncols),
-            "window": window,
-            "attempt": attempt,
-        }
-    raise InfeasibleError(f"no generic configuration in {RETRY_CAP} draws: {last_err}")
+        value = window - _kernels.rank(_product_matrix(basis, tp, d, m, p), p)
+        best = value if best is None else min(best, value)
+        if value <= predicted:
+            break
+    if best is None:
+        raise InfeasibleError(f"no generic configuration in {RETRY_CAP} draws: {last_err}")
+    return best, {
+        "transported_degree": tp,
+        "matrix": (nrows, ncols),
+        "window": window,
+        "attempt": attempt,
+    }
 
 
 def _product_matrix(basis: np.ndarray, tp: int, d: int, m: int, p: int) -> np.ndarray:
@@ -301,7 +369,7 @@ def cok_dimension(
     if m == 0:
         computed = 0
     elif method == "formula":
-        computed, _ = _formula_cokernel(e, m, p, seed, ceiling)
+        computed, _ = _formula_cokernel(e, m, p, seed, ceiling, predicted)
     else:
         z = FatPointScheme(tuple(m * v for v in e.m))
         t = 1 + m * d

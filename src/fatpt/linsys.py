@@ -60,6 +60,20 @@ class Decomposition:
         return self.h + self.n_part
 
 
+def _chamber_free(t: int, m: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Degree and multiplicities (zero-padded to len(m)) of the free part of
+    an in-chamber class (multiplicities sorted descending).
+
+    Negative multiplicities are fixed exceptional curves E_i. When
+    m_3 < 0 < m_2 the free part lives on the first two points only, and if
+    then c = t - m_1 - m_2 < 0 the line through them is fixed -c times."""
+    n = len(m)
+    if n < 3 or m[2] >= 0 or m[1] <= 0:
+        return t, tuple(v if v > 0 else 0 for v in m)
+    c = min(t - m[0] - m[1], 0)
+    return t + c, (m[0] + c, m[1] + c) + (0,) * (n - 2)
+
+
 def _chamber_split(
     t: int, m: tuple[int, ...]
 ) -> tuple[DivisorClass, list[tuple[DivisorClass, int]], bool]:
@@ -67,23 +81,12 @@ def _chamber_split(
     part and fixed components, in chamber coordinates."""
     n = len(m)
     boundary = n >= 3 and m[1] == 0 and m[2] < 0
-
-    def e_slot(i: int) -> DivisorClass:
-        return DivisorClass(0, tuple(-1 if j == i else 0 for j in range(n)))
-
-    if n < 3 or m[2] >= 0 or m[1] <= 0:
-        h = DivisorClass(t, tuple(v if v > 0 else 0 for v in m))
-        comps = [(e_slot(i), -m[i]) for i in range(n) if m[i] < 0]
-        return h, comps, boundary
-    # now m_3 < 0 < m_2
-    c = t - m[0] - m[1]
-    tail = [(e_slot(i), -m[i]) for i in range(2, n)]
-    if c < 0:
-        h = DivisorClass(t + c, (m[0] + c, m[1] + c) + (0,) * (n - 2))
-        line12 = DivisorClass(1, (1, 1) + (0,) * (n - 2))
-        return h, [(line12, -c)] + tail, boundary
-    h = DivisorClass(t, (m[0], m[1]) + (0,) * (n - 2))
-    return h, tail, boundary
+    h = DivisorClass(*_chamber_free(t, m))
+    comps = [(DivisorClass(1, (1, 1) + (0,) * (n - 2)), t - h.t)] if h.t < t else []
+    for i in range(n):
+        if m[i] < 0:
+            comps.append((DivisorClass(0, tuple(-1 if j == i else 0 for j in range(n))), -m[i]))
+    return h, comps, boundary
 
 
 def decompose(f: DivisorClass, reduced: ReducedForm | None = None) -> Decomposition | None:
@@ -114,8 +117,9 @@ def expected_h0(f: DivisorClass) -> int:
     r = reduce(f)
     if r.status != IN_CHAMBER:
         return 0
-    h_c, _, _ = _chamber_split(r.reduced.t, r.reduced.m)
-    return max(0, chi(h_c))
+    t, m = _chamber_free(r.reduced.t, r.reduced.m)
+    # chi = C(t+2, 2) - sum C(m_i+1, 2), the lattice's chi for this class.
+    return max(0, (t + 1) * (t + 2) // 2 - sum(v * (v + 1) // 2 for v in m))
 
 
 def expected_h1(f: DivisorClass) -> int:

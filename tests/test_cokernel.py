@@ -9,6 +9,7 @@ from fatpt.cokernel import (
     DEFAULT_COLUMN_CEILING,
     cok_dimension,
     fat_point_matrix,
+    h0_basis,
     monomial_exponents,
     monomial_index,
     mu_rank_oracle,
@@ -65,6 +66,88 @@ def test_fat_point_matrix_conic_through_five():
     assert nullspace(fat_point_matrix(pts, 2, (1,) * 5, p), p).shape[0] == 1
     with pytest.raises(InputError):
         fat_point_matrix(pts, 2, (1,) * 4, p)
+
+
+VERTICES = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "p, d, mults, vertex_slots, seed",
+    [
+        (31991, 8, (4, 3, 3, 2, 1, 1), (0, 1, 2), 1),
+        (31991, 9, (5, 0, 4, 2, 2, 1), (0, 1, 2), 2),  # a vertex of multiplicity 0
+        (31991, 6, (0, 0, 0, 2, 2), (0, 1, 2), 3),  # three vertices of multiplicity 0
+        (31991, 7, (3, 2, 2, 1), (3, 0, 2), 4),  # vertices in other slots
+        (31991, 5, (2, 3, 1), (0, 1, 2), 5),  # only vertices: no rows remain
+        (31991, 10, (6, 5, 1, 3, 2, 2, 2), (0, 1, 1), 6),  # one vertex twice
+        (101, 12, (7, 6, 5, 2, 2), (0, 1, 2), 7),
+        (5, 7, (4, 3, 3, 1), (0, 1, 2), 8),  # partials that are 0 mod p kill nothing
+    ],
+)
+def test_h0_basis_matches_full_nullspace(p, d, mults, vertex_slots, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, p, size=(len(mults), 3), dtype=np.int64)
+    for slot, vertex in zip(vertex_slots, VERTICES):
+        pts[slot] = np.array(vertex) * int(rng.integers(1, p))
+    full = nullspace(fat_point_matrix(pts, d, mults, p), p)
+    assert h0_basis(pts, d, mults, p).tolist() == full.tolist()
+
+
+def test_h0_basis_kills_the_vertex_columns(monkeypatch):
+    # Points of multiplicity 3, 2, 2 at (0, 0, 1), (1, 0, 0), (0, 1, 0) kill
+    # the monomials with i+j < 3, j+k < 2 and i+k < 2; only the fourth
+    # point's rows are built, on the other columns.
+    d = 6
+    built = []
+    build = cokernel.fat_point_matrix
+    monkeypatch.setattr(
+        cokernel, "fat_point_matrix", lambda *args: built.append(args) or build(*args)
+    )
+    pts = np.array([(0, 0, 1), (1, 0, 0), (0, 1, 0), (3, 5, 7)])
+    basis = h0_basis(pts, d, (3, 2, 2, 1), 31991)
+    (sub_pts, _, sub_mults, _, columns), = built
+    assert sub_pts.tolist() == [[3, 5, 7]] and sub_mults == [1]
+    exps = monomial_exponents(d)
+    i, j, k = exps.T
+    killed = (i + j < 3) | (j + k < 2) | (i + k < 2)
+    assert columns.tolist() == np.flatnonzero(~killed).tolist()
+    assert not basis[:, killed].any()
+    assert basis.shape == (28 - killed.sum() - 1, 28)
+
+
+def test_frame_slots_take_the_two_largest_lower_index_first():
+    assert cokernel._frame_slots((5, 2, 3, 3, 1)) == [0, 2, 3]
+    assert cokernel._frame_slots((9, 0, 0, 0)) == [0, 1, 2]
+    assert cokernel._frame_slots((4, 1, 7, 1)) == [0, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "cls, p, seed",
+    [("19;7,7,7,7,7,7,7,4,1,1,1", 31991, 1), ("3;2,1,1,1,1,1,1", 101, 11)],
+)
+def test_draw_with_cokernel_above_prediction_is_retried(cls, p, seed):
+    # The first draw of these seeds is special: h0(L') is 3, but the product
+    # matrix loses rank, so it reads more than the prediction. The next draw
+    # is generic.
+    e = parse_class(cls)
+    v = cok_dimension(e, splitting_of(e, p, seed)[0].b, p, seed)
+    first, info = cokernel._formula_cokernel(e, v.m, p, seed, DEFAULT_COLUMN_CEILING, 10**9)
+    assert info["attempt"] == 0 and first > v.predicted
+    computed, info = cokernel._formula_cokernel(e, v.m, p, seed, DEFAULT_COLUMN_CEILING, v.predicted)
+    assert info["attempt"] == 1 and computed == v.predicted
+    assert v.computed == v.predicted and v.match
+
+
+def test_persistent_excess_reports_the_smallest_draw():
+    # Against an impossible prediction every draw reads too much: all
+    # RETRY_CAP draws are made and the least value comes back, so the excess
+    # is reported instead of hidden.
+    from fatpt.splitting import RETRY_CAP
+
+    e = parse_class("3;2,1,1,1,1,1,1")
+    computed, info = cokernel._formula_cokernel(e, 2, 101, 11, DEFAULT_COLUMN_CEILING, -1)
+    assert info["attempt"] == RETRY_CAP - 1
+    assert computed == 0
 
 
 def test_reduction_to_point():

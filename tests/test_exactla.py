@@ -103,19 +103,45 @@ def _rank_deficient_matrices(draw):
     return p, rows, len(col_pick)
 
 
+def _low_rank(p, nrows, ncols, inner, seed):
+    """(p, rows, ncols) for a product of random nrows x inner and inner x
+    ncols matrices mod p, computed in Python integers: rank at most inner,
+    with entries spread over the whole of [0, p)."""
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, p, size=(nrows, inner)).tolist()
+    right = rng.integers(0, p, size=(inner, ncols)).tolist()
+    rows = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left]
+    return p, rows, ncols
+
+
 @given(_rank_deficient_matrices())
 @example((7, [], 4))
 @example((101, [[], [], []], 0))
 @example((31991, [], 0))
+@example((2**31 - 1, [], 6))
+@example(_low_rank(2**31 - 1, 4, 17, 3, 1))  # wide
+@example(_low_rank(2**31 - 1, 17, 4, 3, 2))  # tall
+@example(_low_rank(2**31 - 1, 9, 9, 9, 3))  # square, almost surely full rank
+@example(_low_rank(31991, 12, 30, 5, 4))
 @settings(max_examples=200)
 def test_rref_and_nullspace_match_reference(case):
     p, rows, ncols = case
     a = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
     ref_rank, ref_pivots, ref_reduced = _reference_rref(rows, ncols, p)
 
+    # The forward phase alone: same pivots, each pivot 1 with zeros below,
+    # and the rows past the rank all zero.
+    work = a.copy()
+    rank, pivots = _kernels._forward(work, p)
+    assert rank == ref_rank == _kernels.rank(a, p)
+    assert pivots.tolist() == ref_pivots
+    for r, c in enumerate(ref_pivots):
+        assert work[r, c] == 1 and not work[r + 1 :, c].any() and not work[r, :c].any()
+    assert not work[rank:].any()
+
     work = a.copy()
     rank, pivots = _kernels.rref(work, p)
-    assert rank == ref_rank == _kernels.rank(a, p)
+    assert rank == ref_rank
     assert pivots.tolist() == ref_pivots
     assert work.tolist() == ref_reduced
 
