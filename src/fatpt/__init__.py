@@ -3,7 +3,7 @@ graded Betti numbers, exceptional curves and their splitting types, with
 exact verification over prime fields."""
 
 from .errors import ConjectureViolation, DegenerateConfiguration, InfeasibleError, InputError
-from .exactla import DEFAULT_PRIME, PrimeField, min_syzygy_degree
+from .exactla import DEFAULT_PRIME, check_prime, min_syzygy_degree
 from .lattice import (
     DivisorClass,
     FatPointScheme,
@@ -54,6 +54,7 @@ from .splitting import (
     predict_report,
     predict_splitting,
     split_bounds,
+    splitting_of,
 )
 from .cokernel import (
     DEFAULT_COLUMN_CEILING,
@@ -62,7 +63,6 @@ from .cokernel import (
     fat_point_matrix,
     mu_rank_oracle,
     predicted_cokernel,
-    splitting_of,
 )
 from .betti import (
     AlphaOneResult,

@@ -17,17 +17,10 @@ came from the randomized pipeline ("provisional"), and whether the values
 rest on the dimension conjectures ("conjectural").
 
 Each handler takes the parsed arguments alone. ``_resolve_job`` runs first:
-it checks the ranges of --prime, --trials, --ceiling and --jobs in that
-order, so the same error comes first whichever of them are wrong, and writes
-the resolved prime and seed onto the arguments. ``hilbert`` parses its own
---deg before anything else.
-
-``sweep --jobs`` sizes the thread pool of both of its phases. Classification
-is pure-Python work that holds the interpreter lock: a plain loop there ran
-faster on two cores but its time followed the speed of the one core it ran
-on, while the pool's time stayed steady. The numpy eliminations of
-``--verify`` release the lock. Reports are byte-identical under ``--jobs N``
-for any N.
+it checks the ranges of --prime, --trials and --ceiling in that order, so
+the same error comes first whichever of them are wrong, and writes the
+resolved prime and seed onto the arguments. ``hilbert`` parses its own --deg
+before anything else.
 """
 
 from __future__ import annotations
@@ -36,12 +29,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .betti import assemble_resolution
 from .cokernel import DEFAULT_COLUMN_CEILING, cok_dimension
 from .errors import ConjectureViolation, InfeasibleError, InputError
-from .exactla import DEFAULT_PRIME, PrimeField
+from .exactla import DEFAULT_PRIME, check_prime
 from .lattice import format_class, format_mults, parse_class, parse_mults
 from .linsys import alpha_degree, decompose, hilbert, sanity_check_decomposition
 from .splitting import (
@@ -86,7 +78,7 @@ def _resolve_job(args) -> None:
     else:
         origin = f"--prime {args.prime}"
     try:
-        PrimeField(args.prime)
+        check_prime(args.prime)
     except InputError as exc:
         raise InputError(f"{origin}: {exc}") from None
 
@@ -100,9 +92,6 @@ def _resolve_job(args) -> None:
     ceiling = getattr(args, "ceiling", DEFAULT_COLUMN_CEILING)
     if ceiling < 1:
         raise InputError(f"--ceiling {ceiling}: the H0 matrix needs at least one column")
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        raise InputError(f"--jobs {jobs}: the pool needs at least one worker")
 
 
 def _value_cell(v) -> str:
@@ -315,7 +304,7 @@ def _cmd_enumerate(args):
     classes = enumerate_exceptional(args.max_degree)
     rows = []
     for e in classes:
-        st = forced_type(e.t, max(e.m)) if e.m else forced_type(e.t, 0)
+        st = forced_type(e.t, max(e.m))
         rows.append(
             {
                 "class": format_class(e),
@@ -342,11 +331,7 @@ def _cmd_enumerate(args):
 
 def _cmd_sweep(args):
     classes = enumerate_exceptional(args.max_degree)
-    jobs = args.jobs or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        classified = list(
-            pool.map(lambda e: splitting_of(e, args.prime, args.seed, args.trials), classes)
-        )
+    classified = [splitting_of(e, args.prime, args.seed, args.trials) for e in classes]
     escapes = []
     provisional = []
     for e, (st, prov) in zip(classes, classified):
@@ -372,29 +357,18 @@ def _cmd_sweep(args):
     code = 0
     tsv_rows = [(r["degree"], r["class"], r["a"], r["b"], "escape") for r in rows]
     if args.verify:
-        def verify_one(item):
-            e, st = item
+        verification = []
+        for k, (e, st) in enumerate(escapes, 1):
+            row = {"class": format_class(e), "m": st.b}
             try:
                 v = cok_dimension(
                     e, st.b, args.prime, args.seed, "formula", args.ceiling, args.trials
                 )
-                return {
-                    "class": format_class(e),
-                    "m": st.b,
-                    "predicted": v.predicted,
-                    "computed": v.computed,
-                    "match": v.match,
-                }
+                row.update(predicted=v.predicted, computed=v.computed, match=v.match)
             except InfeasibleError as exc:
-                return {"class": format_class(e), "m": st.b, "skipped": str(exc)}
-
-        done = 0
-        verification = []
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for row in pool.map(verify_one, escapes):
-                done += 1
-                sys.stderr.write(f"verified {done}/{len(escapes)}: {row['class']}\n")
-                verification.append(row)
+                row["skipped"] = str(exc)
+            sys.stderr.write(f"verified {k}/{len(escapes)}: {row['class']}\n")
+            verification.append(row)
         violations = [r for r in verification if not r.get("match", True) and "skipped" not in r]
         report["verification"] = verification
         report["violations"] = len(violations)
@@ -479,7 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-degree", type=int, required=True)
     s.add_argument("--verify", action="store_true", help="check escapes at m = b")
     s.add_argument("--trials", type=int, default=3)
-    s.add_argument("--jobs", type=int, default=None, help="worker pool size")
     s.add_argument("--ceiling", type=int, default=DEFAULT_COLUMN_CEILING)
     _add_common(s, fmt=True)
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateConfiguration, InfeasibleError, InputError
-from .exactla import DEFAULT_PRIME, PrimeField
+from .exactla import DEFAULT_PRIME, check_prime
 from .lattice import DivisorClass, FatPointScheme, binom2, intersect, line_class, point_class
 from .linsys import expected_h0
 from .splitting import DEFAULT_SEED, RETRY_CAP, SplittingType, derive_seed, splitting_of
@@ -354,7 +354,7 @@ def cok_dimension(
     """Computed and predicted dim coker mu for the system L + mE; the
     prediction uses the splitting type from ``trials`` randomized draws when
     the type is not forced."""
-    PrimeField(p)
+    check_prime(p)
     if not is_exceptional(e):
         raise InputError(f"{e} is not an exceptional class")
     d = intersect(e, line_class(e.n))

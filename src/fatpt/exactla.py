@@ -13,8 +13,6 @@ almost surely generic and small enough that p**2 fits comfortably in int64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
@@ -36,22 +34,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The characteristic p of F_p, validated: an odd prime 2 < p < 2**31.
+def check_prime(p: int) -> None:
+    """Accept p as the characteristic of F_p: an odd prime 2 < p < 2**31.
 
     Below 2**31 one product of residues fits int64, but a sum of three does
     not; int64 code reduces each product, or sums k of them only while
     k*(p-1)**2 < 2**63.
     """
-
-    p: int = DEFAULT_PRIME
-
-    def __post_init__(self):
-        if not (2 < self.p < 2**31):
-            raise InputError(f"prime must satisfy 2 < p < 2**31, got {self.p}")
-        if not is_prime(self.p):
-            raise InputError(f"{self.p} is not prime")
+    if not (2 < p < 2**31):
+        raise InputError(f"prime must satisfy 2 < p < 2**31, got {p}")
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
 
 
 def min_syzygy_degree(t, pts, d: int, p: int) -> int:

@@ -210,7 +210,7 @@ def fixed_part(z: FatPointScheme, t: int) -> tuple[tuple[DivisorClass, int], ...
 
 def sanity_check_decomposition(f: DivisorClass, d: Decomposition) -> None:
     """Assert the characterizing properties of the decomposition; used by
-    tests and the CLI's verbose path, not in hot loops."""
+    tests and by the CLI's ``decompose`` on every report, not in hot loops."""
     assert d.total == f, (d.total, f)
     for c_cls, mult in d.components:
         assert mult > 0

@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConjectureViolation, DegenerateConfiguration, InfeasibleError, InputError
-from .exactla import DEFAULT_PRIME, PrimeField, min_syzygy_degree
+from .exactla import DEFAULT_PRIME, check_prime, min_syzygy_degree
 from .lattice import DivisorClass, binom2, intersect, line_class, selfint
 from .weyl import CREMONA, exceptional_points, is_exceptional, line_reduction, orbit_of_line
 
@@ -244,7 +244,7 @@ def compute_splitting(
     fresh derived seeds up to a cap, then reported as infeasible."""
     if trials < 1:
         raise InputError(f"trials {trials}: the vote needs at least one trial")
-    PrimeField(p)
+    check_prime(p)
     split_bounds(e)
     votes: Counter[SplittingType] = Counter()
     for trial in range(trials):

@@ -5,19 +5,19 @@ from hypothesis import strategies as st
 
 from fatpt import _kernels
 from fatpt.errors import DegenerateConfiguration, InputError
-from fatpt.exactla import DEFAULT_PRIME, PrimeField, is_prime, min_syzygy_degree
+from fatpt.exactla import DEFAULT_PRIME, check_prime, is_prime, min_syzygy_degree
 from test_splitting import _coprime, _evaluate, _form_comb, _form_mul
 
 
 def test_prime_field_validates():
-    PrimeField(31991)
-    PrimeField(7)
-    with pytest.raises(InputError):
-        PrimeField(10)
-    with pytest.raises(InputError):
-        PrimeField(2)
-    with pytest.raises(InputError):
-        PrimeField(2**31 + 11)
+    check_prime(31991)
+    check_prime(7)
+    with pytest.raises(InputError, match="^10 is not prime$"):
+        check_prime(10)
+    with pytest.raises(InputError, match=r"^prime must satisfy 2 < p < 2\*\*31, got 2$"):
+        check_prime(2)
+    with pytest.raises(InputError, match=r"^prime must satisfy 2 < p < 2\*\*31, got 2147483659$"):
+        check_prime(2**31 + 11)
 
 
 def test_is_prime_small():
