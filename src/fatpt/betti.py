@@ -36,18 +36,14 @@ from .cokernel import predicted_cokernel
 from .errors import InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME
 from .lattice import DivisorClass, FatPointScheme, binom2, class_of, intersect, line_class, point_class
-from .linsys import alpha_degree, decompose, expected_h0, expected_h1, fixed_part
+from .linsys import alpha_degree, decompose, expected_h0, expected_h1, fixed_part, pull_back
 from .splitting import DEFAULT_SEED, SplittingType, splitting_of
-from .weyl import apply_word, is_exceptional, reduce
+from .weyl import is_exceptional, reduce
 
 EXACT = "Exact"
 CONJECTURAL = "ConjecturalExact"
 INTERVAL = "Interval"
 UNKNOWN = "Unknown"
-
-
-def _two_l(n: int) -> DivisorClass:
-    return DivisorClass(2, (0,) * n)
 
 
 def line_presentation(z: FatPointScheme):
@@ -70,11 +66,8 @@ def line_presentation(z: FatPointScheme):
             deep.append((i, -v))
             hm[i] = 0
     h_term = DivisorClass(term.t, tuple(hm))
-    comps = []
-    for i, c in deep:
-        slot = DivisorClass(0, tuple(-1 if j == i else 0 for j in range(term.n)))
-        comps.append((apply_word(rf.word, slot, inverse=True).truncate_to(z.n), c))
-    h = apply_word(rf.word, h_term, inverse=True).truncate_to(z.n)
+    comps = [(pull_back(rf.word, point_class(i + 1, term.n), z.n), c) for i, c in deep]
+    h = pull_back(rf.word, h_term, z.n)
 
     lcls = line_class(z.n)
     for cls, _ in comps:
@@ -169,7 +162,7 @@ def betti_alpha_plus_one(
     pres = line_presentation(z)
     if pres is not None and pres[1]:
         h, comps = pres
-        total, m_clip, info, prov, flag = _price_components(comps, _two_l(z.n) + h, p, seed)
+        total, m_clip, info, prov, flag = _price_components(comps, 2 * line_class(z.n) + h, p, seed)
         total += h0_next - expected_h0(m_clip)
         info = tuple((cls, c, st) for cls, c, _, st in info)
         return AlphaOneResult(total, None, "decomposition", flag, info, prov)
@@ -222,7 +215,7 @@ def expected_betti(
     if dec is None:
         raise InfeasibleError(f"class at degree {i - 2} is not effective")
     total, clipped, info, prov, flag = _price_components(
-        dec.components, _two_l(z.n) + dec.h, p, seed
+        dec.components, 2 * line_class(z.n) + dec.h, p, seed
     )
     value = expected_h0(class_of(z, i)) - expected_h0(clipped) + total
     return ExpectedBetti(i, value, flag, info, prov)

@@ -50,7 +50,7 @@ from .errors import DegenerateConfiguration, InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME, check_prime
 from .lattice import DivisorClass, FatPointScheme, binom2, intersect, line_class, point_class
 from .linsys import expected_h0
-from .splitting import DEFAULT_SEED, RETRY_CAP, SplittingType, derive_seed, splitting_of
+from .splitting import DEFAULT_SEED, RETRY_CAP, SplittingType, derive_seed, draw_points, splitting_of
 from .weyl import _is_point_terminal, apply_word, is_exceptional, reduce
 
 DEFAULT_COLUMN_CEILING = 16000
@@ -246,6 +246,14 @@ def reduction_to_point(e: DivisorClass) -> tuple[int, ...]:
     return r.word + tuple(range(r.reduced.n - 1, 0, -1))
 
 
+def _check_prime_above_degree(p: int, degree: int) -> None:
+    """At p <= degree the falling factorials in ``fat_point_matrix``'s
+    partials can vanish mod p, and its rows stop being fat point conditions."""
+    if p <= degree:
+        raise InputError(f"prime {p} is too small for interpolation in degree {degree}: "
+                         f"verification needs a prime above {degree}")
+
+
 def _frame_slots(mu) -> list[int]:
     """The slots drawn at the coordinate vertices (0, 0, 1), (1, 0, 0) and
     (0, 1, 0): slot 0 (E's point), then the two largest other base points,
@@ -268,6 +276,7 @@ def _formula_cokernel(
         raise AssertionError(f"unexpected transported line system {lam}")
     if expected_h0(lam) != 3:
         raise AssertionError(f"transported line system {lam} has expected h0 != 3")
+    _check_prime_above_degree(p, tp)
     ncols = (tp + 1) * (tp + 2) // 2
     nrows = sum(v * (v + 1) // 2 for v in mu)
     if ncols > ceiling:
@@ -282,8 +291,7 @@ def _formula_cokernel(
     best: int | None = None
     last_err: Exception | None = None
     for attempt in range(RETRY_CAP):
-        rng = np.random.default_rng(derive_seed(rng_master, attempt))
-        pts = rng.integers(0, p, size=(n, 3), dtype=np.int64)
+        pts = draw_points(n, p, derive_seed(rng_master, attempt))
         pts[frame] = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
         basis = h0_basis(pts, tp, mu, p)
         if basis.shape[0] != 3:
@@ -310,10 +318,6 @@ def _product_matrix(basis: np.ndarray, tp: int, d: int, m: int, p: int) -> np.nd
     a^pg b^qg c^rg with pg+qg >= d-m, projected to coefficients of monomials
     of a+b degree in [2d-m, 2d-1] (the quotient past the ideal power at the
     second base point)."""
-    lut = np.full((tp + 1, tp + 1), -1, dtype=np.int64)
-    exps = monomial_exponents(tp)
-    lut[exps[:, 0], exps[:, 1]] = np.arange(exps.shape[0])
-
     wa, wb = [], []
     for s in range(2 * d - m, 2 * d):
         for a_exp in range(s + 1):
@@ -334,9 +338,7 @@ def _product_matrix(basis: np.ndarray, tp: int, d: int, m: int, p: int) -> np.nd
         fa = wa - pg
         fb = wb - qg
         ok = (fa >= 0) & (fb >= 0) & (fa + fb <= tp)
-        src = lut[np.clip(fa, 0, tp), np.clip(fb, 0, tp)]
-        ok &= src >= 0
-        srcc = np.where(ok, src, 0)
+        srcc = monomial_index(tp, np.where(ok, fa, 0), np.where(ok, fb, 0))
         for r in range(3):
             prod[3 * gi + r] = np.where(ok, basis[r, srcc], 0)
     return prod
@@ -373,8 +375,8 @@ def cok_dimension(
     else:
         z = FatPointScheme(tuple(m * v for v in e.m))
         t = 1 + m * d
-        rng = np.random.default_rng(derive_seed(seed, 47))
-        pts = rng.integers(0, p, size=(e.n, 3), dtype=np.int64)
+        _check_prime_above_degree(p, t + 1)
+        pts = draw_points(e.n, p, derive_seed(seed, 47))
         # The oracle is for small instances: its own 2000 cap bounds the
         # matrices it builds, whatever the formula route's ceiling.
         computed = mu_rank_oracle(pts, z, t, p, max_dim=min(ceiling, 2000))

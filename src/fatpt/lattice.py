@@ -5,9 +5,9 @@ A class tL - m_1 E_1 - ... - m_n E_n is stored as the integer pair
 E_i.E_i = -1, mixed products 0, so F.G = t t' - sum m_i m'_i. The canonical
 class is K = -3L + E_1 + ... + E_n, i.e. (-3, (-1, ..., -1)).
 
-All arithmetic is plain Python integers: class coordinates stay small enough
-that exactness and hashability matter more than vectorization, and a single
-reduction must run in well under a millisecond.
+All arithmetic is plain Python ints, checked where input enters (``parse_class``,
+``FatPointScheme``) and never coerced again: exactness and hashability matter
+more than vectorization, and a single reduction must run well under 1 ms.
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ def binom2(x: int) -> int:
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """tL - sum m_i E_i as (t, multiplicities)."""
+    """tL - sum m_i E_i as (t, multiplicities): an int and a tuple of ints,
+    not coerced here (a list would not hash as a cache key, and a numpy
+    scalar would not encode as JSON)."""
 
     t: int
     m: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
-        object.__setattr__(self, "t", int(self.t))
 
     @property
     def n(self) -> int:

@@ -30,6 +30,7 @@ from .lattice import (
     class_of,
     intersect,
     line_class,
+    point_class,
 )
 from .weyl import IN_CHAMBER, ReducedForm, apply_word, is_exceptional, reduce
 
@@ -85,8 +86,13 @@ def _chamber_split(
     comps = [(DivisorClass(1, (1, 1) + (0,) * (n - 2)), t - h.t)] if h.t < t else []
     for i in range(n):
         if m[i] < 0:
-            comps.append((DivisorClass(0, tuple(-1 if j == i else 0 for j in range(n))), -m[i]))
+            comps.append((point_class(i + 1, n), -m[i]))
     return h, comps, boundary
+
+
+def pull_back(word: tuple[int, ...], c: DivisorClass, n: int) -> DivisorClass:
+    """c carried back through ``reduce``'s word to the original n slots."""
+    return apply_word(word, c, inverse=True).truncate_to(n)
 
 
 def decompose(f: DivisorClass, reduced: ReducedForm | None = None) -> Decomposition | None:
@@ -96,14 +102,9 @@ def decompose(f: DivisorClass, reduced: ReducedForm | None = None) -> Decomposit
     if r.status != IN_CHAMBER:
         return None
     h_c, comps_c, boundary = _chamber_split(r.reduced.t, r.reduced.m)
-    h = apply_word(r.word, h_c, inverse=True)
-    if h.n > f.n:
-        h = h.truncate_to(f.n)
-    comps = []
-    for c_cls, mult in comps_c:
-        back = apply_word(r.word, c_cls, inverse=True)
-        comps.append((back.truncate_to(f.n) if back.n > f.n else back, mult))
-    return Decomposition(h, tuple(comps), boundary)
+    h = pull_back(r.word, h_c, f.n)
+    comps = tuple((pull_back(r.word, c_cls, f.n), mult) for c_cls, mult in comps_c)
+    return Decomposition(h, comps, boundary)
 
 
 def expected_h0(f: DivisorClass) -> int:

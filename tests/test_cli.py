@@ -133,6 +133,27 @@ def test_verify_cokernel_both_methods(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "method, prime, code",
+    [("oracle", "3", 2), ("oracle", "7", 2), ("formula", "5", 0), ("oracle", None, 0)],
+)
+def test_verify_cokernel_needs_prime_above_matrix_degree(capsys, method, prime, code):
+    # For the cubic at m = 3 the oracle interpolates in degree m d + 2 = 11
+    # and the formula route in t' = 4. At p <= 11 the oracle's partials lose
+    # falling-factorial coefficients mod p: p = 3 used to print a computed
+    # cokernel of -33 (exit 3), p = 7 a false violation.
+    argv = ["verify-cokernel", "--class", "3;2,1,1,1,1,1,1", "--m", "3", "--method", method]
+    assert run(argv + (["--prime", prime] if prime else [])) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        assert f"prime {prime}" in err and "degree 11" in err
+    else:
+        assert json.loads(out)["results"] == [
+            {"computed": 1, "match": True, "method": method, "predicted": 1}
+        ]
+
+
 def test_verify_cokernel_mismatch_exits_3(capsys, monkeypatch):
     def fake(e, m, p, seed, method, ceiling):
         return MuVerdict(e, m, p, seed, SplittingType(1, 2), False, 1, 2, method)

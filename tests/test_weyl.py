@@ -1,5 +1,6 @@
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,12 +8,16 @@ from hypothesis import strategies as st
 from fatpt.errors import InputError
 from fatpt.lattice import (
     DivisorClass,
+    FatPointScheme,
     canonical_class,
+    class_of,
+    format_class,
     intersect,
     line_class,
     parse_class,
     selfint,
 )
+from fatpt.linsys import decompose
 from fatpt.weyl import (
     CREMONA,
     IN_CHAMBER,
@@ -132,6 +137,32 @@ def test_reduce_chamber_outcome_word_invariant(ops, f):
         assert rf.reduced == rg.reduced
 
 
+def _assert_plain(c):
+    assert type(c.t) is int and type(c.m) is tuple
+    assert all(type(v) is int for v in c.m)
+
+
+@given(words, classes6)
+@settings(max_examples=150)
+def test_classes_are_plain_ints(ops, f):
+    """DivisorClass coerces nothing: input is checked where it enters (parse,
+    FatPointScheme), and every class built after that stays plain ints, so
+    classes hash and serialize. The scheme is fed numpy integers on purpose."""
+    z = FatPointScheme(tuple(np.abs(np.array(f.m, dtype=np.int64)) + 1))
+    outs = [
+        parse_class(format_class(f)),
+        class_of(z, f.t),
+        apply_word(ops, f),
+        apply_word(ops, f, inverse=True),
+        reduce(f).reduced,
+    ]
+    d = decompose(f)
+    if d is not None:
+        outs.append(d.h)
+        outs.extend(c for c, _ in d.components)
+    for c in outs:
+        _assert_plain(c)
+
 
 def _reference_generator(f, g):
     """Reference: one generator on a DivisorClass, as a fresh class."""
@@ -211,6 +242,8 @@ def test_enumeration_full_count():
     classes = enumerate_exceptional(20)
     assert len(classes) == 2051
     assert all(selfint(e) == -1 for e in classes[:50])
+    for e in classes:
+        _assert_plain(e)
     degrees = sorted({e.t for e in classes})
     assert degrees == list(range(1, 21))
 
