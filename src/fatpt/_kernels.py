@@ -17,8 +17,18 @@ rows top-down), so ranks, pivot columns and reduced echelon forms are
 reproducible bit for bit, and the reduced form is the one Gauss-Jordan
 elimination with the same rule gives.
 
-Entries are int64 and every product is reduced immediately, so any modulus
-below 2**31 is overflow-safe (|a - f*b| < p**2 + p < 2**63).
+Entries are int64, and reduction mod p is delayed (the delayed reduction of
+FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). Each pivot step
+reduces only the pivot column, which the pivot search reads, and the pivot
+row, which is then scaled to 1; the rows it clears get ``f * row`` subtracted
+unreduced, with f and row in [0, p). After k such updates every entry lies in
+[-k*(p-1)**2, p), so the block is reduced in full only before an update that
+could leave int64: after ``_cap(p)`` updates, the largest k with
+k*(p-1)**2 < 2**63 - p. That is 2 at p = 2**31 - 1 and far more updates than
+any matrix here takes at 31991. Each phase ends with one full reduction, so
+``_forward`` and ``rref`` return entries in [0, p). The reduced form and the
+pivots are unique for a given matrix, so when the reductions happen does not
+change any output.
 """
 
 from __future__ import annotations
@@ -26,31 +36,62 @@ from __future__ import annotations
 import numpy as np
 
 
+def _cap(p: int) -> int:
+    """Updates the trailing block can absorb between full reductions: the
+    largest k with k*(p-1)**2 < 2**63 - p."""
+    return (2**63 - p - 1) // (p - 1) ** 2
+
+
+def _update(a: np.ndarray, rows: slice, idx: np.ndarray, c: int, prow: np.ndarray) -> None:
+    """Subtract (column c) times ``prow`` from the rows in ``rows`` whose
+    column-c entries are nonzero (``idx``, absolute), on columns c and past.
+    Column c comes out exactly 0 since the pivot is 1. More than half the
+    slice nonzero: the update runs on the slice in place; otherwise on the
+    gathered rows."""
+    span = a[rows, c:]
+    if 2 * idx.size > span.shape[0]:
+        span -= span[:, :1] * prow
+    else:
+        a[idx, c:] -= a[idx, c, None] * prow
+
+
 def _forward(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     """Reduce ``a`` in place to row echelon form mod p: each pivot is 1 and
     the entries below it are 0; rows above a pivot keep their entries in its
-    column. Returns (rank, pivot column indices); input as for ``rref``."""
-    rows, cols = a.shape
-    pivots = np.empty(min(rows, cols), dtype=np.int64)
-    r = 0
+    column. Every entry ends in [0, p). Returns (rank, pivot column indices);
+    input as for ``rref``."""
+    nrows, cols = a.shape
+    cap = _cap(p)
+    pivots = np.empty(min(nrows, cols), dtype=np.int64)
+    r = k = 0
     for c in range(cols):
-        if r == rows:
+        if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        col = a[r:, c]
+        col %= p
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = a[r, c:] * inv % p
+            a[[r, piv], c:] = a[[piv, r], c:]
+        prow = a[r, c:]
+        prow %= p
+        prow *= pow(int(prow[0]), p - 2, p)
+        prow %= p
         # Rows r..piv-1 and the row swapped to piv are zero in column c, so
         # the rows to clear are the other nonzeros found above.
         below = r + nz[1:]
         if below.size:
-            a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
+            if k == cap:
+                a[r + 1 :, c + 1 :] %= p
+                k = 0
+            _update(a, slice(r + 1, None), below, c, prow)
+            k += 1
         pivots[r] = c
         r += 1
+    if k:
+        a %= p
     return r, pivots[:r]
 
 
@@ -61,11 +102,23 @@ def rref(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     C-contiguous, with entries already in [0, p).
     """
     r, pivots = _forward(a, p)
-    for k in range(r - 1, 0, -1):
-        c = int(pivots[k])
-        above = np.nonzero(a[:k, c])[0]
+    cap = _cap(p)
+    k = 0
+    for j in range(r - 1, 0, -1):
+        c = int(pivots[j])
+        prow = a[j, c:]
+        prow %= p
+        col = a[:j, c]
+        col %= p
+        above = col.nonzero()[0]
         if above.size:
-            a[above, c:] = (a[above, c:] - np.outer(a[above, c], a[k, c:])) % p
+            if k == cap:
+                a[:j, c + 1 :] %= p
+                k = 0
+            _update(a, slice(0, j), above, c, prow)
+            k += 1
+    if k:
+        a %= p
     return r, pivots
 
 

@@ -318,30 +318,21 @@ def _product_matrix(basis: np.ndarray, tp: int, d: int, m: int, p: int) -> np.nd
     a^pg b^qg c^rg with pg+qg >= d-m, projected to coefficients of monomials
     of a+b degree in [2d-m, 2d-1] (the quotient past the ideal power at the
     second base point)."""
-    wa, wb = [], []
-    for s in range(2 * d - m, 2 * d):
-        for a_exp in range(s + 1):
-            wa.append(a_exp)
-            wb.append(s - a_exp)
-    wa = np.array(wa, dtype=np.int64)
-    wb = np.array(wb, dtype=np.int64)
-    window = wa.size
-
-    mults_g = [
-        (pg, qg)
-        for pg in range(d)
-        for qg in range(d - pg)
-        if pg + qg >= d - m
-    ]
-    prod = np.zeros((3 * len(mults_g), window), dtype=np.int64)
-    for gi, (pg, qg) in enumerate(mults_g):
-        fa = wa - pg
-        fb = wb - qg
-        ok = (fa >= 0) & (fb >= 0) & (fa + fb <= tp)
-        srcc = monomial_index(tp, np.where(ok, fa, 0), np.where(ok, fb, 0))
-        for r in range(3):
-            prod[3 * gi + r] = np.where(ok, basis[r, srcc], 0)
-    return prod
+    wa, wb = np.array(
+        [(a, s - a) for s in range(2 * d - m, 2 * d) for a in range(s + 1)], dtype=np.int64
+    ).reshape(-1, 2).T
+    pg, qg = np.array(
+        [(i, j) for i in range(d) for j in range(d - i) if i + j >= d - m], dtype=np.int64
+    ).reshape(-1, 2).T
+    fa = wa - pg[:, None]
+    fb = wb - qg[:, None]
+    ok = (fa >= 0) & (fb >= 0) & (fa + fb <= tp)
+    # A window monomial that no basis monomial reaches reads the zero column
+    # appended past the last one.
+    srcc = np.where(ok, monomial_index(tp, fa, fb), basis.shape[1])
+    padded = np.pad(basis, ((0, 0), (0, 1)))
+    # One block of rows per multiplier monomial, one row per basis form.
+    return padded[np.arange(3)[:, None], srcc[:, None, :]].reshape(-1, wa.size)
 
 
 def cok_dimension(

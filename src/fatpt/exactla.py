@@ -8,7 +8,8 @@ so the elimination (see _kernels) is deterministic. Matrices are plain int64
 arrays; ``_kernels.rank`` and ``_kernels.nullspace`` reduce a copy mod p.
 
 The default prime 31991 is large enough that random point configurations are
-almost surely generic and small enough that p**2 fits comfortably in int64.
+almost surely generic and small enough that int64 holds about 2**33 products
+of residues before a sum has to be reduced mod p.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ def check_prime(p: int) -> None:
 
     Below 2**31 one product of residues fits int64, but a sum of three does
     not; int64 code reduces each product, or sums k of them only while
-    k*(p-1)**2 < 2**63.
+    k*(p-1)**2 < 2**63. The row reduction applies this rule through
+    ``_kernels._cap``, which fixes how many unreduced updates it takes
+    between reductions.
     """
     if not (2 < p < 2**31):
         raise InputError(f"prime must satisfy 2 < p < 2**31, got {p}")

@@ -241,22 +241,25 @@ def compute_splitting(
 ) -> SplittingType:
     """Splitting type of the plane image of e over F_p, majority over
     ``trials`` independent configurations. Degenerate draws are retried with
-    fresh derived seeds up to a cap, then reported as infeasible."""
+    fresh derived seeds up to a cap, then reported as infeasible, with the
+    trial's rejections counted by reason."""
     if trials < 1:
         raise InputError(f"trials {trials}: the vote needs at least one trial")
     check_prime(p)
     split_bounds(e)
     votes: Counter[SplittingType] = Counter()
     for trial in range(trials):
+        rejected: Counter[str] = Counter()
         for attempt in range(RETRY_CAP):
             try:
                 votes[_splitting_once(e, p, derive_seed(seed, trial, attempt))] += 1
                 break
-            except DegenerateConfiguration:
-                continue
+            except DegenerateConfiguration as exc:
+                rejected[str(exc)] += 1
         else:
+            reasons = "; ".join(f"{reason}: {k}" for reason, k in rejected.most_common())
             raise InfeasibleError(
-                f"no nondegenerate configuration in {RETRY_CAP} attempts for {e} over F_{p}"
+                f"no nondegenerate configuration in {RETRY_CAP} attempts for {e} over F_{p} ({reasons})"
             )
     return votes.most_common(1)[0][0]
 

@@ -181,6 +181,18 @@ def test_verify_cokernel_infeasible_exits_1(capsys):
     assert err.startswith("infeasible:")
 
 
+def test_split_infeasible_counts_rejections_by_reason(capsys):
+    # At p = 29 most draws of this class put a point on a Cremona center,
+    # and all 10 attempts of the first trial are rejected.
+    code = run(["split", "--class", "8;3,3,3,3,3,3,3,1,1", "--prime", "29"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("infeasible: no nondegenerate configuration in 10 attempts")
+    counts = dict(part.rsplit(": ", 1) for part in err.rstrip()[:-1].split(" (", 1)[1].split("; "))
+    assert "point collides with a Cremona center" in counts
+    assert sum(int(k) for k in counts.values()) == 10
+
+
 def test_enumerate_exceptional(capsys):
     code, rep = run_json(capsys, ["enumerate-exceptional", "--max-degree", "3"])
     assert code == 0
@@ -309,6 +321,21 @@ def test_golden_report_digests(capsys, argv, code, digest):
         assert out == ""
     text = out if code == 0 else err
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.extended
+def test_degree_28_census_digest(capsys):
+    # The large census: every escape up to degree 28 verified at the
+    # default prime and seed, none violating or skipped, report pinned.
+    assert run(["sweep", "--max-degree", "28", "--verify"]) == 0
+    out = capsys.readouterr().out
+    rep = json.loads(out)
+    assert (rep["total"], len(rep["escapes"]), rep["violations"]) == (17382, 397, 0)
+    assert len(rep["verification"]) == 397
+    assert not any("skipped" in row for row in rep["verification"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "71c50e432a77b9e09b1699f415de680fa77275d915679568c5e61077235944e0"
+    )
 
 
 def test_env_prime_and_flag_precedence(capsys, monkeypatch):

@@ -24,6 +24,16 @@ def test_is_prime_small():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def test_reduction_cap():
+    # The largest k with k*(p-1)**2 < 2**63 - p: how many unreduced updates
+    # int64 absorbs between full reductions.
+    for p in (3, 7, 31991, 2**31 - 1):
+        k = _kernels._cap(p)
+        assert k * (p - 1) ** 2 < 2**63 - p <= (k + 1) * (p - 1) ** 2
+    assert _kernels._cap(2**31 - 1) == 2
+    assert _kernels._cap(31991) > 2**33
+
+
 def test_rank_and_nullspace_identity():
     p = 101
     a = np.eye(4, dtype=np.int64)
@@ -114,6 +124,17 @@ def _low_rank(p, nrows, ncols, inner, seed):
     return p, rows, ncols
 
 
+def _banded(p, nforms, width, shifts, seed):
+    """(p, rows, ncols) shaped like a product matrix: ``nforms`` random rows
+    of ``width`` entries, each placed at every shift 0..shifts-1. Below most
+    pivots fewer than half of the rows are nonzero."""
+    rng = np.random.default_rng(seed)
+    forms = rng.integers(0, p, size=(nforms, width)).tolist()
+    ncols = width + shifts - 1
+    rows = [[0] * s + f + [0] * (ncols - width - s) for s in range(shifts) for f in forms]
+    return p, rows, ncols
+
+
 @given(_rank_deficient_matrices())
 @example((7, [], 4))
 @example((101, [[], [], []], 0))
@@ -123,6 +144,14 @@ def _low_rank(p, nrows, ncols, inner, seed):
 @example(_low_rank(2**31 - 1, 17, 4, 3, 2))  # tall
 @example(_low_rank(2**31 - 1, 9, 9, 9, 3))  # square, almost surely full rank
 @example(_low_rank(31991, 12, 30, 5, 4))
+# Many pivots: at 2**31 - 1 the trailing block is reduced after every second
+# update; at 31991 only once, at the end of each phase.
+@example(_low_rank(2**31 - 1, 40, 40, 40, 5))  # dense
+@example(_low_rank(2**31 - 1, 60, 50, 7, 6))
+@example(_low_rank(31991, 40, 40, 40, 7))
+@example(_low_rank(31991, 60, 50, 7, 8))
+@example(_banded(31991, 3, 12, 30, 9))  # sparse: the gathered-rows update
+@example(_banded(2**31 - 1, 3, 12, 30, 10))
 @settings(max_examples=200)
 def test_rref_and_nullspace_match_reference(case):
     p, rows, ncols = case
@@ -134,10 +163,12 @@ def test_rref_and_nullspace_match_reference(case):
     work = a.copy()
     rank, pivots = _kernels._forward(work, p)
     assert rank == ref_rank == _kernels.rank(a, p)
+    assert a.tolist() == rows
     assert pivots.tolist() == ref_pivots
     for r, c in enumerate(ref_pivots):
         assert work[r, c] == 1 and not work[r + 1 :, c].any() and not work[r, :c].any()
     assert not work[rank:].any()
+    assert ((0 <= work) & (work < p)).all()
 
     work = a.copy()
     rank, pivots = _kernels.rref(work, p)
