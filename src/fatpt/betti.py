@@ -69,7 +69,6 @@ def line_presentation(z: FatPointScheme):
     comps = [(pull_back(rf.word, point_class(i + 1, term.n), z.n), c) for i, c in deep]
     h = pull_back(rf.word, h_term, z.n)
 
-    lcls = line_class(z.n)
     for cls, _ in comps:
         if not is_exceptional(cls) or intersect(h, cls) != 0:
             return None
@@ -77,9 +76,9 @@ def line_presentation(z: FatPointScheme):
         for j in range(i + 1, len(comps)):
             if intersect(comps[i][0], comps[j][0]) != 0:
                 return None
-    if intersect(h, lcls) < 0 or expected_h1(h) != 0:
+    if h.t < 0 or expected_h1(h) != 0:
         return None
-    total = lcls + h
+    total = line_class(z.n) + h
     for cls, c in comps:
         total = total + c * cls
     assert total == class_of(z, a), "presentation does not reassemble the degree-alpha class"
@@ -101,22 +100,20 @@ def _price_components(comps, base: DivisorClass, p: int, seed):
     clipped = base + sum_j k_j C_j, info the (C_j, c_j, k_j, type) rows, and
     flag CONJECTURAL when some component leaves the proven range.
     """
-    lcls = line_class(base.n)
     total = 0
     clipped = base
     info = []
     prov = []
     conjectural = False
     for cls, c in comps:
-        d = intersect(lcls, cls)
         st, provisional = splitting_of(cls, p, seed)
-        k = min(c, d)
+        k = min(c, cls.t)
         total += predicted_cokernel(k, st)
         clipped = clipped + k * cls
         info.append((cls, c, k, st))
         if provisional:
             prov.append(cls)
-        if _component_conjectural(k, st, d, max(cls.m)):
+        if _component_conjectural(k, st, cls.t, max(cls.m)):
             conjectural = True
     return total, clipped, tuple(info), tuple(prov), CONJECTURAL if conjectural else EXACT
 
@@ -279,10 +276,9 @@ def bettibound_data(
     if not set(cur) <= known or not set(nxt) <= set(cur) | known:
         raise InfeasibleError(f"fixed components appear from nowhere at degree {t} for {z}")
 
-    lcls = line_class(z.n)
     comps = []
     for cls, c in prev:
-        d = intersect(lcls, cls)
+        d = cls.t
         c1 = cur.get(cls, 0)
         c2 = nxt.get(cls, 0)
         assert c >= c1 >= c2 >= 0 and c - c1 <= d, "fixed exponents out of range"

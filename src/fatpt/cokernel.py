@@ -12,8 +12,9 @@ for explicit points over F_p and compares.
 
 Two independent routes:
 
-* formula path (``method="formula"``): transport E to a coordinate point by a
-  Weyl word ending at E_1; the line system L becomes a system L' of plane
+* formula path (``method="formula"``): transport E to a coordinate point by
+  its Weyl word to E_1 (``weyl.reduction_to_point``, which is also the check
+  that E is exceptional); the line system L becomes a system L' of plane
   curves of degree t' = L'.L with base points, and sections of L + mE + L
   correspond to degree-(d-1) multiples of H^0(L') lying in the proper ideal
   power at the two distinguished base points. Everything reduces to one large
@@ -48,10 +49,10 @@ import numpy as np
 from . import _kernels
 from .errors import DegenerateConfiguration, InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME, check_prime
-from .lattice import DivisorClass, FatPointScheme, binom2, intersect, line_class, point_class
+from .lattice import DivisorClass, FatPointScheme, binom2, line_class, point_class
 from .linsys import expected_h0
 from .splitting import DEFAULT_SEED, RETRY_CAP, SplittingType, derive_seed, draw_points, splitting_of
-from .weyl import _is_point_terminal, apply_word, is_exceptional, reduce
+from .weyl import apply_word, reduction_to_point
 
 DEFAULT_COLUMN_CEILING = 16000
 
@@ -238,14 +239,6 @@ def predicted_cokernel(m: int, st: SplittingType) -> int:
     return binom2(m - st.b) + binom2(m - st.a)
 
 
-def reduction_to_point(e: DivisorClass) -> tuple[int, ...]:
-    """A word sending e to E_1 (Cremona reduction plus slot swaps)."""
-    r = reduce(e)
-    if not _is_point_terminal(r.reduced):
-        raise InputError(f"{e} is not an exceptional class")
-    return r.word + tuple(range(r.reduced.n - 1, 0, -1))
-
-
 def _check_prime_above_degree(p: int, degree: int) -> None:
     """At p <= degree the falling factorials in ``fat_point_matrix``'s
     partials can vanish mod p, and its rows stop being fat point conditions."""
@@ -263,10 +256,10 @@ def _frame_slots(mu) -> list[int]:
 
 
 def _formula_cokernel(
-    e: DivisorClass, m: int, p: int, seed, ceiling: int, predicted: int
+    e: DivisorClass, word: tuple[int, ...], m: int, p: int, seed, ceiling: int, predicted: int
 ) -> tuple[int, dict]:
-    d = intersect(e, line_class(e.n))
-    word = reduction_to_point(e)
+    """dim coker mu for L + mE by the formula path, ``word`` sending e to E_1."""
+    d = e.t
     n = max(e.n, 3)
     assert apply_word(word, e.pad_to(n) if e.n < n else e) == point_class(1, n)
     lam = apply_word(word, line_class(n))
@@ -299,7 +292,7 @@ def _formula_cokernel(
                 f"special configuration: h0 = {basis.shape[0]} != 3"
             )
             continue
-        value = window - _kernels.rank(_product_matrix(basis, tp, d, m, p), p)
+        value = window - _kernels.rank(_product_matrix(basis, tp, d, m), p)
         best = value if best is None else min(best, value)
         if value <= predicted:
             break
@@ -313,7 +306,7 @@ def _formula_cokernel(
     }
 
 
-def _product_matrix(basis: np.ndarray, tp: int, d: int, m: int, p: int) -> np.ndarray:
+def _product_matrix(basis: np.ndarray, tp: int, d: int, m: int) -> np.ndarray:
     """Rows: each H0(L') basis form times each degree-(d-1) monomial
     a^pg b^qg c^rg with pg+qg >= d-m, projected to coefficients of monomials
     of a+b degree in [2d-m, 2d-1] (the quotient past the ideal power at the
@@ -348,9 +341,8 @@ def cok_dimension(
     prediction uses the splitting type from ``trials`` randomized draws when
     the type is not forced."""
     check_prime(p)
-    if not is_exceptional(e):
-        raise InputError(f"{e} is not an exceptional class")
-    d = intersect(e, line_class(e.n))
+    word = reduction_to_point(e)
+    d = e.t
     if d < 1:
         raise InputError("point classes E_i have no multiplication map here")
     if not (0 <= m <= d):
@@ -362,7 +354,7 @@ def cok_dimension(
     if m == 0:
         computed = 0
     elif method == "formula":
-        computed, _ = _formula_cokernel(e, m, p, seed, ceiling, predicted)
+        computed, _ = _formula_cokernel(e, word, m, p, seed, ceiling, predicted)
     else:
         z = FatPointScheme(tuple(m * v for v in e.m))
         t = 1 + m * d

@@ -61,9 +61,6 @@ class DivisorClass:
             raise InputError(f"subtracting classes on {self.n} and {other.n} points")
         return DivisorClass(self.t - other.t, tuple(a - b for a, b in zip(self.m, other.m)))
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.t, tuple(-a for a in self.m))
-
     def __rmul__(self, k: int) -> "DivisorClass":
         return DivisorClass(k * self.t, tuple(k * a for a in self.m))
 
@@ -127,7 +124,7 @@ class FatPointScheme:
         return sum(m * (m + 1) // 2 for m in self.mults)
 
     def __str__(self) -> str:
-        return ",".join(str(v) for v in self.mults)
+        return format_mults(self)
 
 
 def class_of(z: FatPointScheme, t: int) -> DivisorClass:

@@ -29,10 +29,9 @@ from .lattice import (
     chi,
     class_of,
     intersect,
-    line_class,
     point_class,
 )
-from .weyl import IN_CHAMBER, ReducedForm, apply_word, is_exceptional, reduce
+from .weyl import IN_CHAMBER, apply_word, is_exceptional, reduce
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,10 @@ def pull_back(word: tuple[int, ...], c: DivisorClass, n: int) -> DivisorClass:
     return apply_word(word, c, inverse=True).truncate_to(n)
 
 
-def decompose(f: DivisorClass, reduced: ReducedForm | None = None) -> Decomposition | None:
+def decompose(f: DivisorClass) -> Decomposition | None:
     """The free-part/fixed-part decomposition of f, or None when f is not
     effective (reduction ends NegL or NegLine)."""
-    r = reduced if reduced is not None else reduce(f)
+    r = reduce(f)
     if r.status != IN_CHAMBER:
         return None
     h_c, comps_c, boundary = _chamber_split(r.reduced.t, r.reduced.m)
@@ -221,4 +220,4 @@ def sanity_check_decomposition(f: DivisorClass, d: Decomposition) -> None:
     for i, (c1, _) in enumerate(d.components):
         for c2, _ in d.components[i + 1 :]:
             assert intersect(c1, c2) == 0, (c1, c2)
-    assert intersect(d.h, line_class(f.n)) >= 0
+    assert d.h.t >= 0

@@ -10,7 +10,8 @@ multiplicity m the allowed range is
 a single forced value exactly when d <= 2m+1.
 
 ``compute_splitting`` determines (a, b) for an explicit curve over F_p:
-reduce the class to a line through two of the points, draw a random point
+reduce the class to a line through two of the points once
+(``weyl.line_reduction``), then for each draw take a random point
 configuration, replay the reduction on the points (recording each Cremona's
 base triangle), then push 2d+1 points of the final line back through the
 Cremonas, most recent first. Each lands, up to scale, on the plane image of
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import ConjectureViolation, DegenerateConfiguration, InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME, check_prime, min_syzygy_degree
-from .lattice import DivisorClass, binom2, intersect, line_class, selfint
+from .lattice import DivisorClass, binom2, selfint
 from .weyl import CREMONA, exceptional_points, is_exceptional, line_reduction, orbit_of_line
 
 DEFAULT_SEED = 20260814
@@ -106,10 +107,9 @@ def split_bounds(e: DivisorClass) -> tuple[SplittingType, ...]:
     """Allowed types for an exceptional class of degree >= 1."""
     if not is_exceptional(e):
         raise InputError(f"{e} is not an exceptional class")
-    d = intersect(e, line_class(e.n))
-    if d < 1:
+    if e.t < 1:
         raise InputError("point classes E_i have no plane image to split")
-    return candidate_pairs(d, max(e.m))
+    return candidate_pairs(e.t, max(e.m))
 
 
 def forced_type(d: int, m: int) -> SplittingType | None:
@@ -190,12 +190,11 @@ def _undo_cremonas(mats: list[np.ndarray], pts: np.ndarray, p: int) -> tuple[np.
     return pts, alive
 
 
-def parametrize(
-    e: DivisorClass, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED
-) -> tuple[np.ndarray, np.ndarray]:
-    """(t, pts): 2d+1 points over F_p of the plane image of the exceptional
-    curve of class e through the configuration ``draw_points`` gives for
-    this seed, the point pts[j] at parameter t[j], each up to scale.
+def parametrize(word: tuple[int, ...], d: int, n: int, p: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(t, pts): 2d+1 points over F_p of the plane image of the degree-d
+    exceptional curve on n points whose line reduction is ``word``, through
+    the configuration ``draw_points`` gives for this seed, the point pts[j]
+    at parameter t[j], each up to scale.
 
     The final line of the replayed configuration is P = t A + B for its
     first two points A and B; each parameter t = 0, 1, 2, ... is pushed
@@ -203,9 +202,7 @@ def parametrize(
     some undo are dropped (t = 0 often is, so the first batch has one spare
     parameter). The caller validates p.
     """
-    word, _ = line_reduction(e)
-    d = intersect(e, line_class(e.n))
-    pts, mats = _replay_points(word, draw_points(max(e.n, 3), p, seed), p)
+    pts, mats = _replay_points(word, draw_points(max(n, 3), p, seed), p)
     if not (pts[:2] != 0).any(axis=0).all():
         raise DegenerateConfiguration("degenerate final line")
     need = 2 * d + 1
@@ -223,12 +220,15 @@ def parametrize(
     return np.concatenate(ts)[: 2 * d + 1], np.concatenate(curve)[: 2 * d + 1]
 
 
-def _splitting_once(e: DivisorClass, p: int, seed) -> SplittingType:
-    t, pts = parametrize(e, p, seed)
-    d = intersect(e, line_class(e.n))
-    a = min_syzygy_degree(t, pts, d, p)
-    st = SplittingType(a, d - a)
-    if st not in candidate_pairs(d, max(e.m)):
+def _splitting_once(
+    e: DivisorClass, word: tuple[int, ...], cands: tuple[SplittingType, ...], p: int, seed
+) -> SplittingType:
+    """One draw for e, given its line reduction ``word`` and its allowed
+    types ``cands``."""
+    t, pts = parametrize(word, e.t, e.n, p, seed)
+    a = min_syzygy_degree(t, pts, e.t, p)
+    st = SplittingType(a, e.t - a)
+    if st not in cands:
         raise DegenerateConfiguration(f"type {st} outside the allowed range")
     return st
 
@@ -242,17 +242,19 @@ def compute_splitting(
     """Splitting type of the plane image of e over F_p, majority over
     ``trials`` independent configurations. Degenerate draws are retried with
     fresh derived seeds up to a cap, then reported as infeasible, with the
-    trial's rejections counted by reason."""
+    trial's rejections counted by reason. The class is reduced once, and
+    every draw reads that word."""
     if trials < 1:
         raise InputError(f"trials {trials}: the vote needs at least one trial")
     check_prime(p)
-    split_bounds(e)
+    word, _ = line_reduction(e)
+    cands = candidate_pairs(e.t, max(e.m))
     votes: Counter[SplittingType] = Counter()
     for trial in range(trials):
         rejected: Counter[str] = Counter()
         for attempt in range(RETRY_CAP):
             try:
-                votes[_splitting_once(e, p, derive_seed(seed, trial, attempt))] += 1
+                votes[_splitting_once(e, word, cands, p, derive_seed(seed, trial, attempt))] += 1
                 break
             except DegenerateConfiguration as exc:
                 rejected[str(exc)] += 1
@@ -268,8 +270,7 @@ def compute_splitting(
 def splitting_type(e: DivisorClass, p: int, seed, trials: int = 3) -> tuple[SplittingType, bool]:
     """(type, provisional): the closed form when the degree forces the type,
     else ``compute_splitting`` with this exact seed (marked provisional)."""
-    d = intersect(e, line_class(e.n))
-    st = forced_type(d, max(e.m))
+    st = forced_type(e.t, max(e.m))
     if st is not None:
         return st, False
     return compute_splitting(e, p, seed, trials), True
@@ -282,16 +283,6 @@ def splitting_of(
     verifier and the Betti assembly: the randomized draws use
     derive_seed(seed, 757)."""
     return splitting_type(e, p, derive_seed(seed, 757), trials)
-
-
-def _type_of_conjugate(
-    c: DivisorClass, p: int, seed, trials: int
-) -> tuple[SplittingType, bool]:
-    """(type, provisional) for one conjugate point class; degree-0 classes
-    contribute the zero type."""
-    if intersect(c, line_class(c.n)) == 0:
-        return SplittingType(0, 0), False
-    return splitting_type(c, p, seed, trials)
 
 
 def defect_sum(
@@ -308,13 +299,15 @@ def defect_sum(
 
 def _defect_pass(w: tuple[int, ...], n: int, p: int, seed, trials: int) -> tuple[int, bool]:
     """(defect sum, whether any conjugate type came from the randomized
-    pipeline), in one walk over the conjugate point classes."""
+    pipeline), in one walk over the conjugate point classes; degree-0
+    classes contribute nothing."""
     total = 0
     provisional = False
     for i, c in enumerate(exceptional_points(w, n)):
-        st, prov = _type_of_conjugate(c, p, derive_seed(seed, 101, i), trials)
-        total += binom2(st.a) + binom2(st.b)
-        provisional = provisional or prov
+        if c.t:
+            st, prov = splitting_type(c, p, derive_seed(seed, 101, i), trials)
+            total += binom2(st.a) + binom2(st.b)
+            provisional = provisional or prov
     return total, provisional
 
 
@@ -350,14 +343,13 @@ def predict_report(
         return predict_report(DivisorClass(c.t, tuple(kept)), p, seed, trials)
     if selfint(c) != 1:
         raise InputError(f"prediction needs c.c = 1 or an exceptional class, got {c}")
-    d = intersect(c, line_class(c.n))
-    if d < 1 or any(v < 0 for v in c.m):
+    if c.t < 1 or any(v < 0 for v in c.m):
         raise InputError(f"{c} is not the class of a rational plane curve")
     w = orbit_of_line(c)
     if w is None:
         raise InputError(f"{c} is not in the Weyl orbit of the line")
     m = max(c.m) if c.n else 0
-    cands = candidate_pairs(d, m)
+    cands = candidate_pairs(c.t, m)
     if len(cands) == 1:
         return SplitPrediction(cands[0], 0, _score(cands[0]), (), False)
     ds, provisional = _defect_pass(w, c.n, p, seed, trials)

@@ -21,8 +21,10 @@ A class is effective only if reduction ends InChamber with the visible free
 part; NegL / NegLine witnesses non-effectivity.
 
 ``reduce`` is the one reduction loop. A class is exceptional when it ends at
-a point class E_i; ``line_reduction`` is its word cut before the last s_0;
-``enumerate_exceptional`` walks the tree of its first step.
+a point class E_i, and this module is the one place that checks it: the word
+of an exceptional class to a point (``reduction_to_point``, ending at E_1) and
+to a line (``line_reduction``, cut before the last s_0) both come from one
+checked ``reduce``; ``enumerate_exceptional`` walks the tree of its first step.
 """
 
 from __future__ import annotations
@@ -174,6 +176,21 @@ def enumerate_exceptional(max_degree: int) -> list[DivisorClass]:
     return [DivisorClass(t, m) for t, m in found]
 
 
+def _point_word(e: DivisorClass) -> tuple[int, ...]:
+    """``reduce``'s word for e, which must end at the point class E_n of
+    max(n, 3) slots; InputError when e is not exceptional."""
+    r = reduce(e)
+    if not _is_point_terminal(r.reduced):
+        raise InputError(f"{e} is not an exceptional class")
+    return r.word
+
+
+def reduction_to_point(e: DivisorClass) -> tuple[int, ...]:
+    """A word sending the exceptional class e to E_1 of max(n, 3) slots:
+    ``reduce``'s word, then the swaps moving slot n to slot 1."""
+    return _point_word(e) + tuple(range(max(e.n, 3) - 1, 0, -1))
+
+
 def line_reduction(e: DivisorClass) -> tuple[tuple[int, ...], DivisorClass]:
     """Reduce an exceptional class of degree >= 1 just far enough to reach a
     degree-1 class (the proper transform of a line through two points).
@@ -181,13 +198,11 @@ def line_reduction(e: DivisorClass) -> tuple[tuple[int, ...], DivisorClass]:
     Returns (word, terminal class (1; 1, 1, 0, ..., 0)): ``reduce``'s word
     cut before its last s_0, which sends that line to a point.
     """
-    if intersect(e, line_class(e.n)) < 1:
+    if e.t < 1:
         raise InputError("line reduction needs a class of degree >= 1")
-    r = reduce(e)
-    if not _is_point_terminal(r.reduced):
-        raise InputError(f"class {e} is not in the line orbit")
-    cut = max(i for i, g in enumerate(r.word) if g == CREMONA)
-    return r.word[:cut], DivisorClass(1, (1, 1) + (0,) * (r.reduced.n - 2))
+    word = _point_word(e)
+    cut = max(i for i, g in enumerate(word) if g == CREMONA)
+    return word[:cut], DivisorClass(1, (1, 1) + (0,) * (max(e.n, 3) - 2))
 
 
 def exceptional_points(w: tuple[int, ...], n: int) -> list[DivisorClass]:

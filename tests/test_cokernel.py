@@ -14,11 +14,10 @@ from fatpt.cokernel import (
     monomial_index,
     mu_rank_oracle,
     predicted_cokernel,
-    reduction_to_point,
     splitting_of,
 )
 from fatpt.splitting import SplittingType
-from fatpt.weyl import apply_word, enumerate_exceptional
+from fatpt.weyl import apply_word, enumerate_exceptional, reduction_to_point
 
 CUBIC = parse_class("3;2,1,1,1,1,1,1")
 
@@ -131,9 +130,10 @@ def test_draw_with_cokernel_above_prediction_is_retried(cls, p, seed):
     # is generic.
     e = parse_class(cls)
     v = cok_dimension(e, splitting_of(e, p, seed)[0].b, p, seed)
-    first, info = cokernel._formula_cokernel(e, v.m, p, seed, DEFAULT_COLUMN_CEILING, 10**9)
+    word = reduction_to_point(e)
+    first, info = cokernel._formula_cokernel(e, word, v.m, p, seed, DEFAULT_COLUMN_CEILING, 10**9)
     assert info["attempt"] == 0 and first > v.predicted
-    computed, info = cokernel._formula_cokernel(e, v.m, p, seed, DEFAULT_COLUMN_CEILING, v.predicted)
+    computed, info = cokernel._formula_cokernel(e, word, v.m, p, seed, DEFAULT_COLUMN_CEILING, v.predicted)
     assert info["attempt"] == 1 and computed == v.predicted
     assert v.computed == v.predicted and v.match
 
@@ -145,7 +145,8 @@ def test_persistent_excess_reports_the_smallest_draw():
     from fatpt.splitting import RETRY_CAP
 
     e = parse_class("3;2,1,1,1,1,1,1")
-    computed, info = cokernel._formula_cokernel(e, 2, 101, 11, DEFAULT_COLUMN_CEILING, -1)
+    word = reduction_to_point(e)
+    computed, info = cokernel._formula_cokernel(e, word, 2, 101, 11, DEFAULT_COLUMN_CEILING, -1)
     assert info["attempt"] == RETRY_CAP - 1
     assert computed == 0
 
@@ -155,6 +156,13 @@ def test_reduction_to_point():
     assert apply_word(word, CUBIC) == point_class(1, 7)
     with pytest.raises(InputError):
         reduction_to_point(parse_class("2;1,1"))
+
+
+def test_cok_dimension_reduces_twice(reduce_calls):
+    # Once for the word to E_1, which is also the exceptional check, and
+    # once for the expected h0 of the transported line system.
+    cok_dimension(CUBIC, 2)
+    assert len(reduce_calls) == 2
 
 
 def test_predicted_cokernel_closed_form():

@@ -272,6 +272,12 @@ def _evaluate(forms, t, p):
     return [sum(c * pow(int(t), i, p) for i, c in enumerate(f)) % p for f in forms]
 
 
+def _once(e, p, seed):
+    """``_splitting_once`` with the word and the types ``compute_splitting``
+    hands it."""
+    return _splitting_once(e, line_reduction(e)[0], candidate_pairs(e.t, max(e.m)), p, seed)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -296,7 +302,7 @@ def test_parametrize_interpolates_multiplicities():
         assert len(_form_gcd(pulls[0], pulls[1], p)) - 1 == m, (i, m)
     # The point route samples the same curve: each point is a nonzero
     # multiple of phi at its parameter.
-    t, pts = parametrize(e, p, DEFAULT_SEED)
+    t, pts = parametrize(line_reduction(e)[0], e.t, e.n, p, DEFAULT_SEED)
     assert len(t) == 11 == len(set(t.tolist()))
     for tj, pj in zip(t, pts):
         ref = np.array(_evaluate(phi, tj, p), dtype=object)
@@ -316,7 +322,7 @@ _RANDOMIZED_CLASSES = [e for e in _SPLIT_CLASSES if forced_type(e.t, max(e.m)) i
 def test_point_route_matches_form_route(e, p, seed):
     # The same type, or DegenerateConfiguration from both.
     pts = draw_points(max(e.n, 3), p, seed)
-    assert _outcome(_splitting_once, e, p, seed) == _outcome(_reference_once, e, pts, p)
+    assert _outcome(_once, e, p, seed) == _outcome(_reference_once, e, pts, p)
 
 
 def _both_reject(e, pts, p, monkeypatch):
@@ -327,7 +333,7 @@ def _both_reject(e, pts, p, monkeypatch):
         _reference_once(e, pts, p)
     monkeypatch.setattr(splitting, "draw_points", lambda n, p, seed: pts)
     with pytest.raises(DegenerateConfiguration):
-        _splitting_once(e, p, 0)
+        _once(e, p, 0)
     try:
         _replay_points(line_reduction(e)[0], pts, p)
     except DegenerateConfiguration:
@@ -391,7 +397,7 @@ def test_every_draw_matches_form_route():
                 for attempt in range(RETRY_CAP):
                     s = derive_seed(seed, trial, attempt)
                     pts = draw_points(max(e.n, 3), p, s)
-                    got = _outcome(_splitting_once, e, p, s)
+                    got = _outcome(_once, e, p, s)
                     assert got == _outcome(_reference_once, e, pts, p), (e, s)
                     draws += 1
                     if got != "degenerate":
@@ -406,6 +412,15 @@ def test_compute_splitting_checks_the_prime_once(monkeypatch):
     e = parse_class("8;3,3,3,3,3,3,3,1,1")  # not forced: degree 8 > 2*3 + 1
     compute_splitting(e, 31991, 1, 3)
     assert calls == [31991]
+
+
+def test_compute_splitting_reduces_the_class_once(reduce_calls):
+    # Every trial and attempt reads the one word; no draw reduces again.
+    for text in ("8;3,3,3,3,3,3,3,1,1", "13;5,5,5,5,5,5,4,1,1,1,1"):
+        e = parse_class(text)
+        reduce_calls.clear()
+        compute_splitting(e, trials=3, seed=1)
+        assert reduce_calls == [e]
 
 
 def test_compute_splitting_rejects_composite_prime():
