@@ -38,11 +38,12 @@ from .lattice import format_class, format_mults, parse_class, parse_mults
 from .linsys import alpha_degree, decompose, hilbert, sanity_check_decomposition
 from .splitting import (
     DEFAULT_SEED,
+    clear_memo,
     forced_type,
     predict_report,
     split_bounds,
     splitting_of,
-    splitting_type,
+    splittings_of,
 )
 from .weyl import enumerate_exceptional, format_word
 from . import weyl
@@ -331,7 +332,7 @@ def _cmd_enumerate(args):
 
 def _cmd_sweep(args):
     classes = enumerate_exceptional(args.max_degree)
-    classified = [splitting_of(e, args.prime, args.seed, args.trials) for e in classes]
+    classified = splittings_of(classes, args.prime, args.seed, args.trials)
     escapes = []
     provisional = []
     for e, (st, prov) in zip(classes, classified):
@@ -465,7 +466,7 @@ _PARSER = _build_parser()
 def run(argv=None) -> int:
     """Parse, dispatch, print the report; returns the exit code. Splitting
     types and alpha degrees are memoized within one request only."""
-    splitting_type.cache_clear()
+    clear_memo()
     alpha_degree.cache_clear()
     try:
         args = _PARSER.parse_args(argv)

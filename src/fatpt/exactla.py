@@ -7,6 +7,12 @@ anywhere; a wrong rank would silently corrupt every prediction built on top,
 so the elimination (see _kernels) is deterministic. Matrices are plain int64
 arrays; ``_kernels.rank`` and ``_kernels.nullspace`` reduce a copy mod p.
 
+``syzygy_degrees`` reads the syzygy degrees of a stack of curves of one
+degree: its evaluation matrices are ranked as (k, rows, cols) stacks by
+``_kernels.ranks``, the first rank of every curve in one stack, the second
+in one stack per shape. ``min_syzygy_degree`` is the checked entry point for
+one curve, a stack of one.
+
 The default prime 31991 is large enough that random point configurations are
 almost surely generic and small enough that int64 holds about 2**33 products
 of residues before a sum has to be reduced mod p.
@@ -52,7 +58,8 @@ def check_prime(p: int) -> None:
 
 def min_syzygy_degree(t, pts, d: int, p: int) -> int:
     """Least syzygy degree a of a degree-d rational plane curve, read off
-    points of it.
+    points of it: ``syzygy_degrees`` for a stack of one curve, after checking
+    the input.
 
     ``pts[j]`` is a point of the curve at parameter ``t[j]``, any nonzero
     multiple of phi(t_j) for a parametrization phi of degree d; the first
@@ -80,26 +87,57 @@ def min_syzygy_degree(t, pts, d: int, p: int) -> int:
         raise InputError("syzygy input needs one point of P^2 per parameter")
     if len(set(t[: 2 * d + 1].tolist())) < 2 * d + 1:
         raise InputError(f"syzygy degree of a degree-{d} curve needs {2 * d + 1} distinct parameters")
-
-    def nullity(e: int) -> int:
-        rows = d + e + 1
-        powers = np.ones((rows, e + 1), dtype=np.int64)
-        for k in range(1, e + 1):
-            powers[:, k] = powers[:, k - 1] * t[:rows] % p
-        m = (pts[:rows, :, None] * powers[:, None, :] % p).reshape(rows, 3 * (e + 1))
-        return 3 * (e + 1) - _kernels.rank(m, p)
-
-    e = (d - 1) // 2
-    first = nullity(e) if d else 0
-    a = e + 1 - first if first else d // 2
-    if not 0 <= a <= d // 2 or (first == 0 and d % 2):
-        raise DegenerateConfiguration(
-            f"syzygy nullity {first} at degree {e} is impossible for a curve of degree {d}"
-        )
-    b = d - a
-    second = nullity(b)
-    if second != b - a + 2:
-        raise DegenerateConfiguration(
-            f"syzygy nullity {second} at degree {b}, expected {b - a + 2} for type ({a},{b})"
-        )
+    a = syzygy_degrees(t[None], pts[None], d, p)[0]
+    if isinstance(a, str):
+        raise DegenerateConfiguration(a)
     return a
+
+
+# Curves whose evaluation matrices are built and ranked as one stack: this
+# bounds the memory of the matrices and of their elimination temporaries.
+_CHUNK = 32
+
+
+def _nullities(t: np.ndarray, pts: np.ndarray, d: int, e: int, p: int) -> np.ndarray:
+    """Nullity of the degree-e evaluation matrix of each curve of a stack
+    (see ``min_syzygy_degree``), ranked ``_CHUNK`` curves at a time."""
+    rows = d + e + 1
+    out = np.empty(len(t), dtype=np.int64)
+    for lo in range(0, len(t), _CHUNK):
+        tc = t[lo : lo + _CHUNK, :rows]
+        powers = np.ones(tc.shape + (e + 1,), dtype=np.int64)
+        for k in range(1, e + 1):
+            powers[:, :, k] = powers[:, :, k - 1] * tc % p
+        m = pts[lo : lo + _CHUNK, :rows, :, None] * powers[:, :, None, :] % p
+        out[lo : lo + _CHUNK] = 3 * (e + 1) - _kernels.ranks(m.reshape(len(tc), rows, 3 * (e + 1)), p)
+    return out
+
+
+def syzygy_degrees(t: np.ndarray, pts: np.ndarray, d: int, p: int) -> list[int | str]:
+    """``min_syzygy_degree`` of each curve of a stack of k curves of degree
+    d: ``t`` is (k, m) and ``pts`` (k, m, 3), entries in [0, p), and each row
+    of ``t`` starts with 2d+1 distinct parameters (not checked).
+
+    Returns, per curve, its syzygy degree a, or the message of the
+    ``DegenerateConfiguration`` that ``min_syzygy_degree`` raises for it. The
+    first rank, at e = floor((d-1)/2), is one stack for all k curves; the
+    second, at e = b, one stack per value of b.
+    """
+    k = len(t)
+    e = (d - 1) // 2
+    first = _nullities(t, pts, d, e, p) if d else np.zeros(k, dtype=np.int64)
+    a = np.where(first > 0, e + 1 - first, d // 2)
+    bad = (a < 0) | ((first == 0) & bool(d % 2))
+    out: list[int | str] = [0] * k
+    for i in np.flatnonzero(bad).tolist():
+        out[i] = f"syzygy nullity {first[i]} at degree {e} is impossible for a curve of degree {d}"
+    b = d - a
+    for bv in sorted(set(b[~bad].tolist())):
+        idx = np.flatnonzero(~bad & (b == bv))
+        for i, second in zip(idx.tolist(), _nullities(t[idx], pts[idx], d, bv, p).tolist()):
+            ai = int(a[i])
+            expected = bv - ai + 2
+            out[i] = ai if second == expected else (
+                f"syzygy nullity {second} at degree {bv}, expected {expected} for type ({ai},{bv})"
+            )
+    return out

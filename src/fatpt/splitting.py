@@ -9,25 +9,36 @@ multiplicity m the allowed range is
 
 a single forced value exactly when d <= 2m+1.
 
-``compute_splitting`` determines (a, b) for an explicit curve over F_p:
-reduce the class to a line through two of the points once
-(``weyl.line_reduction``), then for each draw take a random point
-configuration, replay the reduction on the points (recording each Cremona's
-base triangle), then push 2d+1 points of the final line back through the
+``compute_splittings`` determines (a, b) for explicit curves over F_p, of
+one class or of many. Each class is reduced once to a line through two of
+its points (``weyl.line_reduction``). A draw takes a random point
+configuration, replays the reduction on the points (recording each Cremona's
+base triangle), then pushes 2d+1 points of the final line back through the
 Cremonas, most recent first. Each lands, up to scale, on the plane image of
 the curve at its parameter, and the syzygy degree a is read off those points
-with two exact ranks (``min_syzygy_degree``); the second rank also rejects a
-draw whose image has dropped degree. This is a randomized computation over
-one prime: results are correct for the drawn configuration but only
-provisional as statements about the generic curve, and reports label them
-so.
+with two exact ranks (``exactla.syzygy_degrees``); the second rank also
+rejects a draw whose image has dropped degree. This is a randomized
+computation over one prime: results are correct for the drawn configuration
+but only provisional as statements about the generic curve, and reports
+label them so.
 
-``splitting_type`` is the single place that decides between the two: the
-closed form when the degree forces the type, else ``compute_splitting``
-(marked provisional). It is memoized per (class, prime, seed, trials); the
-command line clears the memo at the start of every request. ``splitting_of``
-is the same decision under the seed rule shared by the commands and the
-cokernel and Betti layers.
+Draws are stacks, not loops. A class's trials are one (k, n, 3) array: the
+word is replayed over it with batched 3x3 inverses, and the parameters are
+pushed back over all of it. The live draws of every class of one degree then
+share one stacked rank per syzygy shape (``_kernels.ranks``). A rejected
+draw carries the reason its first failing check gives and is drawn again
+under its trial's next seed, so every trial sees the draws, and casts the
+vote, it would alone.
+
+``splitting_types`` is the single place that decides between the two: the
+closed form when the degree forces the type, else ``compute_splittings``
+(marked provisional), with the classes that need draws drawn together.
+``splitting_type`` is its one-class case. It is memoized per (class, prime,
+seed, trials); the command line clears the memo at the start of every
+request, and ``sweep`` fills it for all of its classes at once, so the
+cokernel verification that follows reads it. ``splittings_of`` and
+``splitting_of`` are the same decision under the seed rule shared by the
+commands and the cokernel and Betti layers.
 
 ``predict_splitting`` is the deterministic conjecture: among the allowed
 (a, b) it returns the most balanced pair whose genus-like score
@@ -39,12 +50,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
-from .errors import ConjectureViolation, DegenerateConfiguration, InfeasibleError, InputError
-from .exactla import DEFAULT_PRIME, check_prime, min_syzygy_degree
+from . import _kernels
+from .errors import ConjectureViolation, InfeasibleError, InputError
+from .exactla import DEFAULT_PRIME, check_prime, syzygy_degrees
 from .lattice import DivisorClass, binom2, selfint
 from .weyl import CREMONA, exceptional_points, is_exceptional, line_reduction, orbit_of_line
 
@@ -86,7 +98,7 @@ def draw_points(n: int, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED) -> np.ndarray
     array; all-zero rows are redrawn."""
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, p, size=(n, 3), dtype=np.int64)
-    for i in range(n):
+    for i in np.flatnonzero(~pts.any(axis=1)):
         while not pts[i].any():
             pts[i] = rng.integers(0, p, size=3, dtype=np.int64)
     return pts
@@ -118,171 +130,267 @@ def forced_type(d: int, m: int) -> SplittingType | None:
     return cands[0] if len(cands) == 1 else None
 
 
-def _inv3(mat: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a 3x3 matrix mod p via the adjugate; raises on det 0."""
-    a, b, c = (int(v) for v in mat[0])
-    d, e, f = (int(v) for v in mat[1])
-    g, h, i = (int(v) for v in mat[2])
-    det = (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
-    if det == 0:
-        raise DegenerateConfiguration("collinear Cremona centers")
-    inv = pow(det, p - 2, p)
-    adj = np.array(
-        [
-            [e * i - f * h, c * h - b * i, b * f - c * e],
-            [f * g - d * i, a * i - c * g, c * d - a * f],
-            [d * h - e * g, b * g - a * h, a * e - b * d],
-        ],
-        dtype=np.int64,
-    )
-    return adj % p * inv % p
+def _inv3(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses mod p of a (k, 3, 3) stack of matrices with entries in
+    [0, p), via the adjugate, and their determinants; a singular matrix gets
+    the zero matrix. Each product is reduced before a sum: three products
+    below p**2 overflow int64 for p near 2**31."""
+    # adj[i][j] = M[j+1][i+1] M[j+2][i+2] - M[j+1][i+2] M[j+2][i+1], indices
+    # mod 3, gathered from the flattened matrices in one step.
+    f = m.reshape(len(m), 9)[:, [
+        [4, 7, 1, 5, 8, 2, 3, 6, 0],
+        [8, 2, 5, 6, 0, 3, 7, 1, 4],
+        [5, 8, 2, 3, 6, 0, 4, 7, 1],
+        [7, 1, 4, 8, 2, 5, 6, 0, 3],
+    ]]
+    adj = (f[:, 0] * f[:, 1] % p - f[:, 2] * f[:, 3] % p) % p
+    det = (m[:, 0] * adj[:, ::3] % p).sum(axis=1) % p
+    return (adj * _kernels.inverses(det, p)[:, None] % p).reshape(-1, 3, 3), det
 
 
 def _matvec(m: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
-    """M x mod p for each row x. Each product is reduced before the sum:
-    three products below p**2 overflow int64 for p near 2**31."""
-    return (x[:, None, :] * m % p).sum(axis=2) % p
+    """M x mod p for each row x of each member: m is (k, 3, 3), x is
+    (k, r, 3). Each product is reduced before the sum."""
+    return (x[:, :, None, :] * m[:, None] % p).sum(axis=3) % p
 
 
 def _quadratic(y: np.ndarray, p: int) -> np.ndarray:
-    """q(y) = (y2 y3, y1 y3, y1 y2) mod p for each row y."""
-    return np.stack([y[:, 1] * y[:, 2], y[:, 0] * y[:, 2], y[:, 0] * y[:, 1]], axis=1) % p
+    """q(y) = (y2 y3, y1 y3, y1 y2) mod p for each point y (last axis)."""
+    return y[..., [1, 0, 0]] * y[..., [2, 2, 1]] % p
 
 
-def _replay_points(word: tuple[int, ...], pts: np.ndarray, p: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Transport a point configuration through a reduction word.
+def _reject(reasons: list, mask: np.ndarray, reason: str) -> None:
+    """Give ``reason`` to the members in ``mask`` that have none yet."""
+    if mask.any():
+        for i in np.flatnonzero(mask).tolist():
+            reasons[i] = reasons[i] or reason
+
+
+def _replay_points(word: tuple[int, ...], pts: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Transport a (k, n, 3) stack of point configurations through a
+    reduction word.
 
     Swaps permute rows; each run of them is composed into one permutation
     of the rows, applied before the next Cremona. A Cremona maps x to
     q(M^-1 x) with q(y) = (y2 y3, y1 y3, y1 y2) and M the matrix of the
     first three points; those three become the coordinate vertices. Returns
-    the final points and the stack of Cremona matrices M in application
-    order.
+    the final points, the (k, c, 3, 3) Cremona matrices M in application
+    order, and per member None or the reason it is rejected: its first
+    Cremona with collinear centers, or with a point that q sends to 0.
     """
-    order = list(range(len(pts)))
-    mats: list[np.ndarray] = []
+    k, n = pts.shape[:2]
+    reasons: list = [None] * k
+    order = list(range(n))
+    mats = []
     for op in word:
         if op != CREMONA:
             order[op - 1], order[op] = order[op], order[op - 1]
             continue
-        pts = pts[order]
-        order = list(range(len(pts)))
-        m = pts[:3].T % p
+        pts = pts[:, order]
+        order = list(range(n))
+        m = pts[:, :3].transpose(0, 2, 1) % p
+        inv, det = _inv3(m, p)
+        _reject(reasons, det == 0, "collinear Cremona centers")
+        q = _quadratic(_matvec(inv, pts[:, 3:], p), p)
+        _reject(reasons, ~q.any(axis=2).all(axis=1), "point collides with a Cremona center")
         mats.append(m)
-        q = _quadratic(_matvec(_inv3(m, p), pts[3:], p), p)
-        if not q.any(axis=1).all():
-            raise DegenerateConfiguration("point collides with a Cremona center")
-        pts[3:] = q
-        pts[:3] = np.eye(3, dtype=np.int64)
-    return pts[order], mats
+        pts[:, 3:] = q
+        pts[:, :3] = np.eye(3, dtype=np.int64)
+    stacked = np.stack(mats, axis=1) if mats else np.empty((k, 0, 3, 3), dtype=np.int64)
+    return pts[:, order], stacked, reasons
 
 
-def _undo_cremonas(mats: list[np.ndarray], pts: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Push points back through the recorded Cremonas, most recent first:
-    P <- M q(P). Returns the points and a mask of the rows that survive
-    every step; a row with q(P) = 0 sits on a base point of that undo and
-    has no image."""
-    alive = np.ones(len(pts), dtype=bool)
-    for m in reversed(mats):
+def _undo_cremonas(mats: np.ndarray, pts: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Push a (k, r, 3) stack of points back through each member's recorded
+    Cremonas, most recent first: P <- M q(P). Returns the points and a mask
+    of the points that survive every step; a point with q(P) = 0 sits on a
+    base point of that undo and has no image."""
+    alive = np.ones(pts.shape[:2], dtype=bool)
+    for j in reversed(range(mats.shape[1])):
         q = _quadratic(pts, p)
-        alive &= q.any(axis=1)
-        pts = _matvec(m, q, p)
+        alive &= q.any(axis=2)
+        pts = _matvec(mats[:, j], q, p)
     return pts, alive
 
 
-def parametrize(word: tuple[int, ...], d: int, n: int, p: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """(t, pts): 2d+1 points over F_p of the plane image of the degree-d
-    exceptional curve on n points whose line reduction is ``word``, through
-    the configuration ``draw_points`` gives for this seed, the point pts[j]
-    at parameter t[j], each up to scale.
+def parametrize(word: tuple[int, ...], d: int, n: int, p: int, seeds) -> tuple[np.ndarray, np.ndarray, list]:
+    """(t, pts, reasons) for one configuration per seed, as ``draw_points``
+    gives it: for each, 2d+1 points over F_p of the plane image of the
+    degree-d exceptional curve on n points whose line reduction is ``word``,
+    the point pts[i, j] at parameter t[i, j], each up to scale; ``reasons``
+    holds None, or why that draw is rejected.
 
-    The final line of the replayed configuration is P = t A + B for its
-    first two points A and B; each parameter t = 0, 1, 2, ... is pushed
-    back through the reduction, and parameters that hit a base point of
-    some undo are dropped (t = 0 often is, so the first batch has one spare
-    parameter). The caller validates p.
+    The configurations are replayed as one stack. The final line of each is
+    P = t A + B for its first two points A and B; the parameters t = 0, 1,
+    2, ... are pushed back through the reduction, and parameters that hit a
+    base point of some undo are dropped (t = 0 often is, so the first batch
+    has one spare parameter). Each draw keeps its first 2d+1 surviving
+    parameters. The caller validates p.
     """
-    pts, mats = _replay_points(word, draw_points(max(n, 3), p, seed), p)
-    if not (pts[:2] != 0).any(axis=0).all():
-        raise DegenerateConfiguration("degenerate final line")
+    pts, mats, reasons = _replay_points(word, np.stack([draw_points(max(n, 3), p, s) for s in seeds]), p)
+    _reject(reasons, ~(pts[:, :2] != 0).any(axis=1).all(axis=1), "degenerate final line")
     need = 2 * d + 1
-    ts, curve = [], []
-    start = 0
-    while need > 0 and start < p:
-        t = np.arange(start, min(start + need + (start == 0), p), dtype=np.int64)
-        start += len(t)
-        image, alive = _undo_cremonas(mats, (t[:, None] * pts[0] % p + pts[1]) % p, p)
-        ts.append(t[alive])
-        curve.append(image[alive])
-        need -= int(alive.sum())
-    if need > 0:
-        raise DegenerateConfiguration(f"fewer than {2 * d + 1} parameters of F_{p} avoid the base points")
-    return np.concatenate(ts)[: 2 * d + 1], np.concatenate(curve)[: 2 * d + 1]
+
+    def push_back(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _undo_cremonas(mats, (ts[:, None] * pts[:, None, 0] + pts[:, None, 1]) % p, p)
+
+    t = np.arange(min(need + 1, p), dtype=np.int64)
+    image, alive = push_back(t)
+    live = np.array([r is None for r in reasons])
+    while len(t) < p and (alive[live].sum(axis=1) < need).any():
+        more = np.arange(len(t), min(len(t) + need, p), dtype=np.int64)
+        more_image, more_alive = push_back(more)
+        t = np.concatenate([t, more])
+        image = np.concatenate([image, more_image], axis=1)
+        alive = np.concatenate([alive, more_alive], axis=1)
+    _reject(reasons, alive.sum(axis=1) < need, f"fewer than {need} parameters of F_{p} avoid the base points")
+    first = np.argsort(~alive, axis=1, kind="stable")[:, :need]
+    return t[first], np.take_along_axis(image, first[:, :, None], axis=1), reasons
 
 
-def _splitting_once(
-    e: DivisorClass, word: tuple[int, ...], cands: tuple[SplittingType, ...], p: int, seed
-) -> SplittingType:
-    """One draw for e, given its line reduction ``word`` and its allowed
-    types ``cands``."""
-    t, pts = parametrize(word, e.t, e.n, p, seed)
-    a = min_syzygy_degree(t, pts, e.t, p)
-    st = SplittingType(a, e.t - a)
-    if st not in cands:
-        raise DegenerateConfiguration(f"type {st} outside the allowed range")
-    return st
+def _draw(jobs, d: int, p: int) -> list[list]:
+    """One draw per seed for classes of degree d. Each job is (word, n,
+    cands, seeds): a class's line reduction, its number of points, its
+    allowed types and its seeds. Each class's draws are replayed as one
+    stack, and the syzygy degrees of every draw still live are read in one
+    stacked computation. Returns, per job and seed, the type or the reason
+    the draw is rejected, in the order the checks of one draw run: the
+    replay, the final line, the parameters, the two syzygy ranks, the
+    allowed range."""
+    outcomes, live_t, live_pts, slots = [], [], [], []
+    for j, (word, n, _, seeds) in enumerate(jobs):
+        t, pts, reasons = parametrize(word, d, n, p, seeds)
+        outcomes.append(reasons)
+        for i, why in enumerate(reasons):
+            if why is None:
+                slots.append((j, i))
+                live_t.append(t[i])
+                live_pts.append(pts[i])
+    if slots:
+        for (j, i), a in zip(slots, syzygy_degrees(np.stack(live_t), np.stack(live_pts), d, p)):
+            if isinstance(a, str):
+                outcomes[j][i] = a
+                continue
+            st = SplittingType(a, d - a)
+            outcomes[j][i] = st if st in jobs[j][2] else f"type {st} outside the allowed range"
+    return outcomes
 
 
-def compute_splitting(
-    e: DivisorClass,
-    p: int = DEFAULT_PRIME,
-    seed=DEFAULT_SEED,
-    trials: int = 3,
-) -> SplittingType:
-    """Splitting type of the plane image of e over F_p, majority over
-    ``trials`` independent configurations. Degenerate draws are retried with
-    fresh derived seeds up to a cap, then reported as infeasible, with the
-    trial's rejections counted by reason. The class is reduced once, and
-    every draw reads that word."""
+def compute_splittings(
+    classes, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED, trials: int = 3
+) -> list[SplittingType]:
+    """Splitting type of the plane image of each class over F_p, majority
+    over ``trials`` independent configurations.
+
+    Trial i of a class draws under derive_seed(seed, i, attempt) for
+    attempt 0, 1, ...: a degenerate draw is drawn again under the next
+    attempt, up to ``RETRY_CAP``. Each class is reduced once, and every draw
+    reads that word. Consecutive classes of one degree are drawn together,
+    one attempt at a time: ``_draw`` stacks each class's draws and ranks
+    every live draw of the degree at once. The votes are counted in trial
+    order. If some trial runs out of attempts, InfeasibleError names the
+    first such class in the given order, with that trial's rejections
+    counted by reason.
+    """
     if trials < 1:
         raise InputError(f"trials {trials}: the vote needs at least one trial")
     check_prime(p)
-    word, _ = line_reduction(e)
-    cands = candidate_pairs(e.t, max(e.m))
-    votes: Counter[SplittingType] = Counter()
-    for trial in range(trials):
-        rejected: Counter[str] = Counter()
-        for attempt in range(RETRY_CAP):
-            try:
-                votes[_splitting_once(e, word, cands, p, derive_seed(seed, trial, attempt))] += 1
-                break
-            except DegenerateConfiguration as exc:
-                rejected[str(exc)] += 1
-        else:
-            reasons = "; ".join(f"{reason}: {k}" for reason, k in rejected.most_common())
-            raise InfeasibleError(
-                f"no nondegenerate configuration in {RETRY_CAP} attempts for {e} over F_{p} ({reasons})"
-            )
-    return votes.most_common(1)[0][0]
+    out: list[SplittingType] = []
+    for _, run in groupby(classes, key=lambda e: e.t):
+        out += _splittings_of_degree(list(run), p, seed, trials)
+    return out
 
 
-@lru_cache(maxsize=None)
+def _splittings_of_degree(classes, p: int, seed, trials: int) -> list[SplittingType]:
+    """``compute_splittings`` for classes of one degree."""
+    words = [line_reduction(e)[0] for e in classes]
+    d = classes[0].t
+    cands = [candidate_pairs(d, max(e.m)) for e in classes]
+    results = [[None] * trials for _ in classes]
+    rejected = [[Counter() for _ in range(trials)] for _ in classes]
+    for attempt in range(RETRY_CAP):
+        todo = [(c, [i for i, r in enumerate(res) if r is None]) for c, res in enumerate(results)]
+        todo = [(c, left) for c, left in todo if left]
+        if not todo:
+            break
+        jobs = [
+            (words[c], classes[c].n, cands[c], [derive_seed(seed, i, attempt) for i in left])
+            for c, left in todo
+        ]
+        for (c, left), outcomes in zip(todo, _draw(jobs, d, p)):
+            for i, got in zip(left, outcomes):
+                if isinstance(got, str):
+                    rejected[c][i][got] += 1
+                else:
+                    results[c][i] = got
+    for e, res, rej in zip(classes, results, rejected):
+        for r, counts in zip(res, rej):
+            if r is None:
+                reasons = "; ".join(f"{reason}: {k}" for reason, k in counts.most_common())
+                raise InfeasibleError(
+                    f"no nondegenerate configuration in {RETRY_CAP} attempts for {e} over F_{p} ({reasons})"
+                )
+    return [Counter(res).most_common(1)[0][0] for res in results]
+
+
+def compute_splitting(
+    e: DivisorClass, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED, trials: int = 3
+) -> SplittingType:
+    """``compute_splittings`` of one class."""
+    return compute_splittings([e], p, seed, trials)[0]
+
+
+# (type, provisional) by (class, prime, seed, trials). The command line
+# clears it at the start of every request.
+_memo: dict = {}
+
+
+def clear_memo() -> None:
+    _memo.clear()
+
+
+def splitting_types(classes, p: int, seed, trials: int = 3) -> list[tuple[SplittingType, bool]]:
+    """(type, provisional) of each class: the closed form when the degree
+    forces the type, else ``compute_splittings`` with this exact seed
+    (marked provisional), memoized. The classes that need a draw are drawn
+    together, in the given order."""
+    keys = [(e, p, seed, trials) for e in classes]
+    todo = []
+    for e, key in zip(classes, keys):
+        if key not in _memo:
+            st = forced_type(e.t, max(e.m))
+            if st is None:
+                todo.append(e)
+            else:
+                _memo[key] = (st, False)
+    todo = list(dict.fromkeys(todo))
+    for e, st in zip(todo, compute_splittings(todo, p, seed, trials) if todo else ()):
+        _memo[e, p, seed, trials] = (st, True)
+    return [_memo[key] for key in keys]
+
+
 def splitting_type(e: DivisorClass, p: int, seed, trials: int = 3) -> tuple[SplittingType, bool]:
-    """(type, provisional): the closed form when the degree forces the type,
-    else ``compute_splitting`` with this exact seed (marked provisional)."""
-    st = forced_type(e.t, max(e.m))
-    if st is not None:
-        return st, False
-    return compute_splitting(e, p, seed, trials), True
+    """``splitting_types`` of one class; a memoized class skips the lists."""
+    return _memo.get((e, p, seed, trials)) or splitting_types([e], p, seed, trials)[0]
+
+
+_COMMAND_STREAM = 757
+
+
+def splittings_of(
+    classes, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED, trials: int = 3
+) -> list[tuple[SplittingType, bool]]:
+    """``splitting_types`` under the seed rule of the commands, the cokernel
+    verifier and the Betti assembly: the randomized draws use
+    derive_seed(seed, 757)."""
+    return splitting_types(classes, p, derive_seed(seed, _COMMAND_STREAM), trials)
 
 
 def splitting_of(
     e: DivisorClass, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED, trials: int = 3
 ) -> tuple[SplittingType, bool]:
-    """``splitting_type`` under the seed rule of the commands, the cokernel
-    verifier and the Betti assembly: the randomized draws use
-    derive_seed(seed, 757)."""
-    return splitting_type(e, p, derive_seed(seed, 757), trials)
+    """``splitting_type`` under the seed rule of ``splittings_of``."""
+    return splitting_type(e, p, derive_seed(seed, _COMMAND_STREAM), trials)
 
 
 def defect_sum(

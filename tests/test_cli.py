@@ -224,30 +224,36 @@ def test_sweep_verify_progress_lines(capsys):
 
 
 def _count_splittings(monkeypatch):
-    calls = []
-    original = splitting.compute_splitting
+    """A list that gets one (class, trials) entry per class drawn, and the
+    list of each call's classes."""
+    calls, batches = [], []
+    original = splitting.compute_splittings
 
-    def counted(e, p, seed, trials):
-        calls.append((e, trials))
-        return original(e, p, seed, trials)
+    def counted(classes, p, seed, trials):
+        calls.extend((e, trials) for e in classes)
+        batches.append(list(classes))
+        return original(classes, p, seed, trials)
 
-    monkeypatch.setattr(splitting, "compute_splitting", counted)
-    return calls
+    monkeypatch.setattr(splitting, "compute_splittings", counted)
+    return calls, batches
 
 
 def test_sweep_verify_splits_each_class_once(capsys, monkeypatch):
-    calls = _count_splittings(monkeypatch)
+    # The classification draws every provisional class once, all in one
+    # call, and the verification reads the memo it fills.
+    calls, batches = _count_splittings(monkeypatch)
     code, rep = run_json(
         capsys, ["sweep", "--max-degree", "15", "--trials", "1", "--verify"]
     )
     assert code == 0
     assert rep["verification"]
-    assert sorted(format_class(e) for e, _ in calls) == sorted(rep["provisional"])
+    assert [format_class(e) for e, _ in calls] == rep["provisional"]
     assert {trials for _, trials in calls} == {1}
+    assert len(batches) == 1
 
 
 def test_splitting_memo_cleared_per_request(capsys, monkeypatch):
-    calls = _count_splittings(monkeypatch)
+    calls, _ = _count_splittings(monkeypatch)
     argv = ["split", "--class", "13;5,5,5,5,5,5,4,1,1,1,1"]
     _, first = run_json(capsys, argv)
     assert len(calls) == 1
@@ -309,6 +315,11 @@ GOLDEN_REPORTS = [
     ('enumerate-exceptional --max-degree 6 --format tsv', 0, "7ed0208a657c27030b64c2c6e7610e28210af917a695b9b0d549bb311f48995c"),
     ('sweep --max-degree 13 --verify --prime 2147483647', 0, "bf0606d77f29b163cc0ba6f83c4a5a1535ccf5bbe4a65eb999758b14dc2e8af5"),
     ('sweep --max-degree 13 --trials 1 --format tsv', 0, "aff9b5ddfe7d1a36794161d2f939a59969cf3f8885b31d2301fbd1361494dc32"),
+    # Small primes: 21 draws of the first are rejected and drawn again (5
+    # Cremona collisions, 16 second-rank mismatches); the second exits at
+    # the first class whose trial runs out of attempts, with its rejections.
+    ('sweep --max-degree 16 --prime 211', 0, "1ac37e79c993f0a584a11efa04805f2cc354e61cbd58314e3f71b95764eb4475"),
+    ('sweep --max-degree 13 --verify --prime 29', 1, "30f692375979a573f63346d73dc967cf0c50ac5afdc56687e594ec13f5edc947"),
     ('sweep --max-degree 3 --trials 0 --ceiling 0', 2, "6586cc37c3893c0277612e0e351f615794a825c28f65b7db9f84a24416c643eb"),
 ]
 

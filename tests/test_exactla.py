@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fatpt import _kernels
 from fatpt.errors import DegenerateConfiguration, InputError
-from fatpt.exactla import DEFAULT_PRIME, check_prime, is_prime, min_syzygy_degree
+from fatpt.exactla import DEFAULT_PRIME, check_prime, is_prime, min_syzygy_degree, syzygy_degrees
 from test_splitting import _coprime, _evaluate, _form_comb, _form_mul
 
 
@@ -182,6 +182,49 @@ def test_rref_and_nullspace_match_reference(case):
     assert a.tolist() == rows
 
 
+@st.composite
+def _rank_stacks(draw):
+    """(p, stack): a (k, rows, cols) stack mixing zero, full-rank and
+    rank-deficient matrices (products of random rows x r and r x cols
+    factors, computed in Python integers), with repeated rows and columns
+    in some."""
+    p = draw(st.sampled_from([53, 31991, 2**31 - 1]))
+    k, rows, cols = draw(st.integers(1, 6)), draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "full", "low", "repeat"]), min_size=k, max_size=k)):
+        if kind == "zero":
+            m = np.zeros((rows, cols), dtype=object)
+        elif kind == "full":
+            m = rng.integers(0, p, size=(rows, cols)).astype(object)
+        else:
+            inner = int(rng.integers(0, min(rows, cols) + 1))
+            left = rng.integers(0, p, size=(rows, inner)).astype(object)
+            m = left @ rng.integers(0, p, size=(inner, cols)).astype(object)
+            if kind == "repeat" and rows and cols:
+                m[:, rng.integers(0, cols, size=cols)] = m[:, :1] * int(rng.integers(1, p))
+                m[rng.integers(0, rows, size=rows)] = m[:1]
+        members.append(m % p)
+    return p, np.array(members, dtype=object).astype(np.int64).reshape(k, rows, cols)
+
+
+@given(_rank_stacks())
+@example((2**31 - 1, np.array([_low_rank(2**31 - 1, 40, 40, r, s)[1] for r, s in ((40, 5), (7, 6))])))
+@example((31991, np.array([_low_rank(31991, 30, 36, 30, 7)[1], [[0] * 36] * 30, _low_rank(31991, 30, 36, 11, 8)[1]])))
+@example((53, np.array([_banded(53, 3, 12, 30, 9)[1]] * 2)))
+@settings(max_examples=200)
+def test_stacked_ranks_match_rank(case):
+    # Each rank of the stack is ``rank`` of that matrix alone, including at
+    # 2**31 - 1, where the trailing block is reduced after every second
+    # update; the stack itself is left as it was.
+    p, stack = case
+    stack = np.asarray(stack, dtype=np.int64)
+    before = stack.copy()
+    got = _kernels.ranks(stack, p)
+    assert got.tolist() == [_kernels.rank(m, p) for m in stack]
+    assert (stack == before).all()
+
+
 # Forms are plain coefficient lists, as in test_splitting's form route: the
 # list [c_0, ..., c_d] is sum_i c_i u^i v^(d-i).
 
@@ -275,21 +318,60 @@ def test_min_syzygy_degree_matches_scan(p, d, data, seed):
 
 def test_min_syzygy_degree_uses_two_ranks(monkeypatch):
     calls = []
-    rank = _kernels.rank
-    monkeypatch.setattr(_kernels, "rank", lambda a, p: calls.append(a.shape) or rank(a, p))
+    ranks = _kernels.ranks
+    monkeypatch.setattr(_kernels, "ranks", lambda a, p: calls.append(a.shape) or ranks(a, p))
     rng = np.random.default_rng(17)
     p = 31991
     forms = [[int(v) for v in rng.integers(1, p, size=10)] for _ in range(3)]
-    assert min_syzygy_degree(*_points(forms, p)) == 4
+    t, pts, d, _ = _points(forms, p)
+    assert min_syzygy_degree(t, pts, d, p) == 4
     # e = 4 on 9 + 4 + 1 points, then e = b = 5 on 9 + 5 + 1 points.
-    assert calls == [(14, 15), (15, 18)]
+    assert calls == [(1, 14, 15), (1, 15, 18)]
+    # A stack of curves takes the same two ranks, each over the whole stack
+    # when the curves share b.
+    calls.clear()
+    stack = np.array([pts, np.roll(pts, 1, axis=1), pts]) % p
+    assert syzygy_degrees(np.array([t] * 3), stack, d, p) == [4, 4, 4]
+    assert calls == [(3, 14, 15), (3, 15, 18)]
 
 
-@pytest.mark.parametrize("fake_rank", [lambda a, p: a.shape[1], lambda a, p: 0])
-def test_min_syzygy_degree_rejects_impossible_nullity(monkeypatch, fake_rank):
+def test_syzygy_degrees_groups_the_second_rank_by_b(monkeypatch):
+    # Curves of types (1, 4), (2, 3) and (1, 4), with one rejected: the
+    # first rank is one stack, the second one stack per b, and the rejected
+    # curve gets the message min_syzygy_degree raises.
+    calls = []
+    ranks = _kernels.ranks
+    monkeypatch.setattr(_kernels, "ranks", lambda a, p: calls.append(a.shape) or ranks(a, p))
+    p = 31991
+    quintics = [
+        ([0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]),  # (1, 4)
+        _minors([[1, 2, 3], [4, 0, 6], [7, 8, 1]], [[1, 0, 5, 2], [0, 3, 1, 1], [2, 2, 0, 7]], p),
+        ([0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]),
+        [[0, 0] + f for f in ([0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0])],  # u^2 * a cubic
+    ]
+    t = np.array([_points(forms, p)[0] for forms in quintics])
+    pts = np.array([_points(forms, p)[1] for forms in quintics])
+    got = syzygy_degrees(t, pts, 5, p)
+    expected = []
+    for forms in quintics:
+        try:
+            expected.append(min_syzygy_degree(*_points(forms, p)))
+        except DegenerateConfiguration as exc:
+            expected.append(str(exc))
+    assert got[:3] == [1, 2, 1] and "expected 7 for type (0,5)" in got[3]
+    assert got == expected
+    # e = 2 on 8 points; then b = 3, 4 and 5 (the curve read as type (0, 5)).
+    assert calls[:4] == [(4, 8, 9), (1, 9, 12), (2, 10, 15), (1, 11, 18)]
+
+
+@pytest.mark.parametrize(
+    "fake_ranks",
+    [lambda a, p: np.full(len(a), a.shape[2]), lambda a, p: np.zeros(len(a), dtype=np.int64)],
+)
+def test_min_syzygy_degree_rejects_impossible_nullity(monkeypatch, fake_ranks):
     # A full-rank matrix at odd d, or a nullity above e + 1, cannot come from
     # a curve of degree d.
-    monkeypatch.setattr(_kernels, "rank", fake_rank)
+    monkeypatch.setattr(_kernels, "ranks", fake_ranks)
     forms = ([0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0])
     with pytest.raises(DegenerateConfiguration):
         min_syzygy_degree(*_points(forms, 31991))

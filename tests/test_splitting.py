@@ -15,6 +15,7 @@ from fatpt.splitting import (
     SplittingType,
     candidate_pairs,
     compute_splitting,
+    compute_splittings,
     defect_sum,
     derive_seed,
     draw_points,
@@ -25,8 +26,9 @@ from fatpt.splitting import (
     split_bounds,
     splitting_of,
     splitting_type,
+    splitting_types,
+    _draw,
     _replay_points,
-    _splitting_once,
 )
 from fatpt.weyl import CREMONA, enumerate_exceptional, exceptional_points, line_reduction, orbit_of_line
 
@@ -218,7 +220,7 @@ def _reference_parametrize(e, pts, p):
     array), by the form route; raises DegenerateConfiguration where a
     component vanishes or a degree drops."""
     word, _ = line_reduction(e)
-    final, mats = _replay_points(word, pts, p)
+    final, mats = _replay_points_reference(word, pts, p)
     phi = [_form([final[1][i], final[0][i]], p) for i in range(3)]
     if not all(phi):
         raise DegenerateConfiguration("degenerate final line")
@@ -257,7 +259,7 @@ def _reference_syzygy_degree(forms, p):
 
 
 def _reference_once(e, pts, p):
-    """``_splitting_once`` by the form route, for the given points."""
+    """One draw of e by the form route, for the given points."""
     phi = _reference_parametrize(e, pts, p)
     d = len(phi[0]) - 1
     a = _reference_syzygy_degree(phi, p)
@@ -272,10 +274,12 @@ def _evaluate(forms, t, p):
     return [sum(c * pow(int(t), i, p) for i, c in enumerate(f)) % p for f in forms]
 
 
-def _once(e, p, seed):
-    """``_splitting_once`` with the word and the types ``compute_splitting``
-    hands it."""
-    return _splitting_once(e, line_reduction(e)[0], candidate_pairs(e.t, max(e.m)), p, seed)
+def _draws(e, p, seeds):
+    """One draw of e per seed by the stacked route of ``compute_splitting``
+    (``_draw`` with the word and the types it hands over): the type, or
+    "degenerate"."""
+    job = (line_reduction(e)[0], e.n, candidate_pairs(e.t, max(e.m)), list(seeds))
+    return [got if isinstance(got, SplittingType) else "degenerate" for got in _draw([job], e.t, p)[0]]
 
 
 def _outcome(fn, *args):
@@ -302,7 +306,8 @@ def test_parametrize_interpolates_multiplicities():
         assert len(_form_gcd(pulls[0], pulls[1], p)) - 1 == m, (i, m)
     # The point route samples the same curve: each point is a nonzero
     # multiple of phi at its parameter.
-    t, pts = parametrize(line_reduction(e)[0], e.t, e.n, p, DEFAULT_SEED)
+    (t,), (pts,), reasons = parametrize(line_reduction(e)[0], e.t, e.n, p, [DEFAULT_SEED])
+    assert reasons == [None]
     assert len(t) == 11 == len(set(t.tolist()))
     for tj, pj in zip(t, pts):
         ref = np.array(_evaluate(phi, tj, p), dtype=object)
@@ -316,13 +321,14 @@ _RANDOMIZED_CLASSES = [e for e in _SPLIT_CLASSES if forced_type(e.t, max(e.m)) i
 @given(
     st.one_of(st.sampled_from(_RANDOMIZED_CLASSES), st.sampled_from(_SPLIT_CLASSES)),
     st.sampled_from([53, 1009, 31991, 2**31 - 1]),
-    st.integers(0, 2**63 - 1),
+    st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5),
 )
 @settings(max_examples=150)
-def test_point_route_matches_form_route(e, p, seed):
-    # The same type, or DegenerateConfiguration from both.
-    pts = draw_points(max(e.n, 3), p, seed)
-    assert _outcome(_once, e, p, seed) == _outcome(_reference_once, e, pts, p)
+def test_point_route_matches_form_route(e, p, seeds):
+    # Several draws as one stack: each member gets the same type as the form
+    # route on its own configuration, or both reject it.
+    got = _draws(e, p, seeds)
+    assert got == [_outcome(_reference_once, e, draw_points(max(e.n, 3), p, s), p) for s in seeds]
 
 
 def _both_reject(e, pts, p, monkeypatch):
@@ -332,13 +338,8 @@ def _both_reject(e, pts, p, monkeypatch):
     with pytest.raises(DegenerateConfiguration):
         _reference_once(e, pts, p)
     monkeypatch.setattr(splitting, "draw_points", lambda n, p, seed: pts)
-    with pytest.raises(DegenerateConfiguration):
-        _once(e, p, 0)
-    try:
-        _replay_points(line_reduction(e)[0], pts, p)
-    except DegenerateConfiguration:
-        return False
-    return True
+    assert _draws(e, p, [0]) == ["degenerate"]
+    return _replay_points(line_reduction(e)[0], pts[None], p)[2] == [None]
 
 
 def test_collinear_points_rejected_by_both_routes(monkeypatch):
@@ -393,15 +394,17 @@ def test_every_draw_matches_form_route():
     for master in (DEFAULT_SEED, 1):
         seed = derive_seed(master, 757)
         for e in classes:
-            for trial in range(3):
-                for attempt in range(RETRY_CAP):
-                    s = derive_seed(seed, trial, attempt)
+            open_ = [0, 1, 2]
+            for attempt in range(RETRY_CAP):
+                seeds = [derive_seed(seed, trial, attempt) for trial in open_]
+                for trial, s, got in zip(list(open_), seeds, _draws(e, p, seeds)):
                     pts = draw_points(max(e.n, 3), p, s)
-                    got = _outcome(_once, e, p, s)
                     assert got == _outcome(_reference_once, e, pts, p), (e, s)
                     draws += 1
                     if got != "degenerate":
-                        break
+                        open_.remove(trial)
+                if not open_:
+                    break
     assert draws >= 2 * 3 * len(classes)
 
 
@@ -415,12 +418,32 @@ def test_compute_splitting_checks_the_prime_once(monkeypatch):
 
 
 def test_compute_splitting_reduces_the_class_once(reduce_calls):
-    # Every trial and attempt reads the one word; no draw reduces again.
-    for text in ("8;3,3,3,3,3,3,3,1,1", "13;5,5,5,5,5,5,4,1,1,1,1"):
-        e = parse_class(text)
+    # Every trial and attempt reads the one word; no draw reduces again,
+    # whether a class is split alone or with others of its degree.
+    classes = [parse_class(text) for text in ("8;3,3,3,3,3,3,3,1,1", "13;5,5,5,5,5,5,4,1,1,1,1")]
+    for e in classes:
         reduce_calls.clear()
         compute_splitting(e, trials=3, seed=1)
         assert reduce_calls == [e]
+    classes += [e for e in _RANDOMIZED_CLASSES if e.t == 13 and e != classes[1]][:2]
+    reduce_calls.clear()
+    compute_splittings(classes, trials=3, seed=1)
+    assert reduce_calls == classes
+
+
+def test_compute_splittings_matches_one_class_at_a_time(monkeypatch):
+    # Drawing the classes of two degrees together changes no type, and the
+    # memo then hands the computed types to ``splitting_type``.
+    classes = [e for e in _RANDOMIZED_CLASSES if e.t in (13, 14)]
+    assert len({e.t for e in classes}) == 2 and len(classes) > 4
+    for p in (211, 31991):
+        together = compute_splittings(classes, p, 5, 3)
+        assert together == [compute_splitting(e, p, 5, 3) for e in classes]
+        splitting.clear_memo()
+        assert splitting_types(classes, p, 5, 3) == [(st, True) for st in together]
+        with monkeypatch.context() as m:
+            m.setattr(splitting, "compute_splittings", None)  # a draw would fail
+            assert [splitting_type(e, p, 5, 3) for e in classes] == [(st, True) for st in together]
 
 
 def test_compute_splitting_rejects_composite_prime():
@@ -477,7 +500,8 @@ def test_predict_report_provisional_flag():
 
 
 def _replay_points_reference(word, pts, p):
-    """_replay_points in Python integers, one point at a time."""
+    """_replay_points of one configuration in Python integers, one point at
+    a time; raises DegenerateConfiguration where it rejects the member."""
     pts = [list(map(int, row)) for row in pts]
     mats = []
     for op in word:
@@ -487,6 +511,8 @@ def _replay_points_reference(word, pts, p):
         m = [[pts[c][r] % p for c in range(3)] for r in range(3)]
         (a, b, c), (d, e, f), (g, h, i) = m
         det = (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
+        if det == 0:
+            raise DegenerateConfiguration("collinear Cremona centers")
         adj = [
             [e * i - f * h, c * h - b * i, b * f - c * e],
             [f * g - d * i, a * i - c * g, c * d - a * f],
@@ -498,11 +524,18 @@ def _replay_points_reference(word, pts, p):
         for j in range(3, len(pts)):
             y = [sum(minv[r][k] * pts[j][k] for k in range(3)) % p for r in range(3)]
             pts[j] = [y[1] * y[2] % p, y[0] * y[2] % p, y[0] * y[1] % p]
+            if not any(pts[j]):
+                raise DegenerateConfiguration("point collides with a Cremona center")
         pts[:3] = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     return pts, mats
 
 
 def test_replay_points_at_largest_prime():
+    # A stack of four configurations at p = 2**31 - 1, where three products
+    # of residues overflow int64 unless each is reduced before a sum (as in
+    # the 3x3 determinants and matrix products). Every member matches the
+    # reference, and the one with a repeated point is rejected, with the
+    # reference's reason, while the others go on.
     p = 2**31 - 1
     rng = np.random.default_rng(29)
     n = 14
@@ -515,11 +548,42 @@ def test_replay_points_at_largest_prime():
             ops += range(int(rng.integers(6, n)), 0, -1)
         ops.append(CREMONA)
     word = tuple(ops)
-    pts = draw_points(n, p, seed=31)
-    got, mats = _replay_points(word, pts, p)
-    ref, ref_mats = _replay_points_reference(word, pts, p)
-    assert got.tolist() == ref
-    assert [m.tolist() for m in mats] == ref_mats
+    stack = np.stack([draw_points(n, p, seed=s) for s in (31, 32, 33, 34)])
+    stack[2, 9] = stack[2, 8] * 5 % p
+    got, mats, reasons = _replay_points(word, stack, p)
+    assert reasons[2] is not None and reasons.count(None) == 3
+    for member in range(4):
+        try:
+            ref, ref_mats = _replay_points_reference(word, stack[member], p)
+        except DegenerateConfiguration as exc:
+            assert reasons[member] == str(exc)
+            continue
+        assert reasons[member] is None
+        assert got[member].tolist() == ref
+        assert [m.tolist() for m in mats[member]] == ref_mats
+
+
+def test_inverse_3x3_stack_at_largest_prime():
+    # Entries just below p make about half the adjugate entries just below p
+    # too, so the three products of a determinant, each near p**2, overflow
+    # int64 unless each is reduced before the sum. Singular members get
+    # determinant 0 and the zero matrix.
+    p = 2**31 - 1
+    rng = np.random.default_rng(7)
+    m = p - rng.integers(1, 2**20, size=(64, 3, 3))
+    m[5, 2] = m[5, 0] * 3 % p  # singular
+    m[9] = p - 1
+    inv, det = splitting._inv3(m, p)
+    for a, got, d in zip(m.tolist(), inv.tolist(), det.tolist()):
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+        ref = (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)) % p
+        assert d == ref
+        if ref == 0:
+            assert got == [[0] * 3] * 3
+            continue
+        # M times its inverse is the identity mod p.
+        assert [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*got)] for row in a] == np.eye(3).tolist()
+    assert det[5] == det[9] == 0
 
 
 def test_predict_rejects_bad_input():
