@@ -214,7 +214,7 @@ def _cmd_decompose(args):
     report = _base_report(args, conjectural=True)
     report["input"] = format_class(f)
     if dec is None:
-        report.update({"effective": False, "status": weyl.reduce(f).status})
+        report.update({"effective": False, "status": weyl.reduce_class(f)[1]})
     else:
         sanity_check_decomposition(f, dec)
         report.update(
@@ -328,6 +328,33 @@ def _cmd_enumerate(args):
         ],
     )
     return report, tsv, 0
+
+
+# One enumerate-exceptional row and its forced type as ``json.dumps`` with
+# indent=2 writes them inside the report.
+_ENUM_ROW = '    {{\n      "class": {},\n      "degree": {},\n      "forced": {}\n    }}'
+_ENUM_FORCED = "[\n        {},\n        {}\n      ]"
+
+
+def _enumerate_json(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)`` for an
+    enumerate-exceptional report. ``indent`` sends ``json.dumps`` to the
+    pure-Python encoder, so the rows (17382 at degree 28, all of one shape)
+    are written here; the rest of the report goes through ``json.dumps``
+    with empty rows, and its one top-level ``"rows": []`` line is replaced."""
+    text = json.dumps({**report, "rows": []}, indent=2, sort_keys=True)
+    if not report["rows"]:
+        return text
+    enc = json.encoder.encode_basestring_ascii
+    rows = ",\n".join(
+        _ENUM_ROW.format(
+            enc(r["class"]),
+            r["degree"],
+            "null" if r["forced"] is None else _ENUM_FORCED.format(*r["forced"]),
+        )
+        for r in report["rows"]
+    )
+    return text.replace('\n  "rows": []', f'\n  "rows": [\n{rows}\n  ]', 1)
 
 
 def _cmd_sweep(args):
@@ -480,6 +507,8 @@ def run(argv=None) -> int:
             lines = ["\t".join(str(v) for v in header)]
             lines.extend("\t".join(str(v) for v in row) for row in rows)
             sys.stdout.write("\n".join(lines) + "\n")
+        elif args.command == "enumerate-exceptional":
+            sys.stdout.write(_enumerate_json(report) + "\n")
         else:
             sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         return code

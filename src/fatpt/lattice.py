@@ -156,7 +156,7 @@ def parse_class(text: str) -> DivisorClass:
 
 
 def format_class(f: DivisorClass) -> str:
-    return f"{f.t};" + ",".join(str(v) for v in f.m)
+    return f"{f.t};" + ",".join(map(str, f.m))
 
 
 def parse_mults(text: str) -> FatPointScheme:
@@ -181,4 +181,4 @@ def parse_mults(text: str) -> FatPointScheme:
 
 
 def format_mults(z: FatPointScheme) -> str:
-    return ",".join(str(v) for v in z.mults)
+    return ",".join(map(str, z.mults))

@@ -31,7 +31,7 @@ from .lattice import (
     intersect,
     point_class,
 )
-from .weyl import IN_CHAMBER, apply_word, is_exceptional, reduce
+from .weyl import IN_CHAMBER, apply_word, is_exceptional, reduce, reduce_class
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,12 @@ def expected_h0(f: DivisorClass) -> int:
 
     This is max(0, chi(H)) for the free part H, read in chamber coordinates:
     chi is Weyl-invariant and zero-padded slots do not change it, so H is
-    never pulled back through the reduction word (``decompose`` does that
-    for callers that need the components)."""
-    r = reduce(f)
-    if r.status != IN_CHAMBER:
+    never pulled back, and the reduction builds no word (``decompose`` does
+    both for callers that need the components)."""
+    reduced, status = reduce_class(f)
+    if status != IN_CHAMBER:
         return 0
-    t, m = _chamber_free(r.reduced.t, r.reduced.m)
+    t, m = _chamber_free(reduced.t, reduced.m)
     # chi = C(t+2, 2) - sum C(m_i+1, 2), the lattice's chi for this class.
     return max(0, (t + 1) * (t + 2) // 2 - sum(v * (v + 1) // 2 for v in m))
 

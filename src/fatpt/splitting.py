@@ -104,14 +104,19 @@ def draw_points(n: int, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED) -> np.ndarray
     return pts
 
 
-def candidate_pairs(d: int, m: int) -> tuple[SplittingType, ...]:
-    """Allowed splitting types for degree d and maximal multiplicity m."""
+def _type_range(d: int, m: int) -> tuple[int, int]:
+    """The least and largest a of an allowed type (a, d - a) for degree d and
+    maximal multiplicity m; never empty."""
     if d < 1:
         raise InputError(f"splitting needs degree >= 1, got {d}")
     if not (0 <= m <= d):
         raise InputError(f"multiplicity {m} out of range for degree {d}")
-    lo = min(m, d - m)
-    hi = min(d - m, d // 2)
+    return min(m, d - m), min(d - m, d // 2)
+
+
+def candidate_pairs(d: int, m: int) -> tuple[SplittingType, ...]:
+    """Allowed splitting types for degree d and maximal multiplicity m."""
+    lo, hi = _type_range(d, m)
     return tuple(SplittingType(a, d - a) for a in range(lo, hi + 1))
 
 
@@ -126,8 +131,8 @@ def split_bounds(e: DivisorClass) -> tuple[SplittingType, ...]:
 
 def forced_type(d: int, m: int) -> SplittingType | None:
     """The unique allowed type when d <= 2m+1, else None."""
-    cands = candidate_pairs(d, m)
-    return cands[0] if len(cands) == 1 else None
+    lo, hi = _type_range(d, m)
+    return SplittingType(lo, d - lo) if lo == hi else None
 
 
 def _inv3(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,11 +20,16 @@ degree. Terminal statuses:
 A class is effective only if reduction ends InChamber with the visible free
 part; NegL / NegLine witnesses non-effectivity.
 
-``reduce`` is the one reduction loop. A class is exceptional when it ends at
-a point class E_i, and this module is the one place that checks it: the word
-of an exceptional class to a point (``reduction_to_point``, ending at E_1) and
-to a line (``line_reduction``, cut before the last s_0) both come from one
-checked ``reduce``; ``enumerate_exceptional`` walks the tree of its first step.
+One loop does every reduction. ``reduce`` records the word as it goes;
+``reduce_class`` runs the same loop for callers that read only the terminal
+class and status, sorting each round with ``list.sort`` and recording
+nothing. ``is_exceptional`` and ``linsys.expected_h0`` take that form.
+
+A class is exceptional when it ends at a point class E_i, and this module is
+the one place that checks it: the word of an exceptional class to a point
+(``reduction_to_point``, ending at E_1) and to a line (``line_reduction``,
+cut before the last s_0) both come from one checked ``reduce``;
+``enumerate_exceptional`` walks the tree of its first step.
 """
 
 from __future__ import annotations
@@ -93,14 +98,16 @@ def _sort_ops(m: list[int]) -> list[int]:
     return ops
 
 
-def reduce(f: DivisorClass) -> ReducedForm:
-    """Cremona reduction. Classes with n < 3 are padded to 3 slots first, so
-    the terminal class (and word) always has max(n, 3) slots."""
+def _reduce(f: DivisorClass, ops: list[int] | None) -> tuple[DivisorClass, str]:
+    """The reduction loop: terminal class and status. The word goes into
+    ``ops`` when it is a list; with None the loop sorts without recording."""
     g = f.pad_to(3) if f.n < 3 else f
     t, m = g.t, list(g.m)
-    ops: list[int] = []
     while True:
-        ops.extend(_sort_ops(m))
+        if ops is None:
+            m.sort(reverse=True)
+        else:
+            ops.extend(_sort_ops(m))
         if t < 0:
             status = NEG_L
             break
@@ -108,12 +115,26 @@ def reduce(f: DivisorClass) -> ReducedForm:
         if c >= 0:
             status = NEG_LINE if t < m[0] else IN_CHAMBER
             break
-        ops.append(CREMONA)
+        if ops is not None:
+            ops.append(CREMONA)
         t += c
         m[0] += c
         m[1] += c
         m[2] += c
-    return ReducedForm(DivisorClass(t, tuple(m)), tuple(ops), status)
+    return DivisorClass(t, tuple(m)), status
+
+
+def reduce(f: DivisorClass) -> ReducedForm:
+    """Cremona reduction. Classes with n < 3 are padded to 3 slots first, so
+    the terminal class (and word) always has max(n, 3) slots."""
+    ops: list[int] = []
+    reduced, status = _reduce(f, ops)
+    return ReducedForm(reduced, tuple(ops), status)
+
+
+def reduce_class(f: DivisorClass) -> tuple[DivisorClass, str]:
+    """``reduce``'s terminal class and status, without building the word."""
+    return _reduce(f, None)
 
 
 def _is_point_terminal(reduced: DivisorClass) -> bool:
@@ -126,7 +147,7 @@ def is_exceptional(e: DivisorClass) -> bool:
     K.E = -1, and reduction terminates at a single -1 multiplicity."""
     if selfint(e) != -1 or intersect(canonical_class(e.n), e) != -1:
         return False
-    return _is_point_terminal(reduce(e).reduced)
+    return _is_point_terminal(reduce_class(e)[0])
 
 
 def orbit_of_line(c: DivisorClass) -> tuple[int, ...] | None:
@@ -147,31 +168,52 @@ def enumerate_exceptional(max_degree: int) -> list[DivisorClass]:
     points, so each class comes out once (reverse search). Above degree 1,
     s_0 on the three largest multiplicities (each becomes d - m_j - m_k >= 0)
     gives a class's one parent; the children of (t, m) raise one value triple
-    v1 >= v2 >= v3 of m and three zeros by c = t - v1 - v2 - v3 > 0, when the
-    raised values stay the three largest.
+    v_a >= v_b >= v_c of m and three zeros by c = t - v_a - v_b - v_c > 0, when
+    the raised values stay the three largest.
+
+    A child has degree 2t - S for S = v_a + v_b + v_c, so it needs
+    2t - D <= S <= t - 1 at D = max_degree (slots counted from 0 here). The
+    walk therefore skips nodes with t >= D, which have no child; stops the a
+    loop once v_a + v_{a+1} + v_{a+2} < 2t - D; skips every b whose smallest
+    raised value t - v_a - v_b is below v_0 (a > 0) or v_1 (a = 0, where no
+    c works at b = 1); and takes v_c only from the window
+    [t - v_a - v_b + t - D, t - v_a - v_b).
     """
     found = []
     stack = [(1, (1, 1))] if max_degree >= 1 else []
     while stack:
         t, m = stack.pop()
         found.append((t, m))
+        if t >= max_degree:
+            continue
         vals = m + (0, 0, 0)
+        least = 2 * t - max_degree  # the least S of a child
         # Each value triple is taken at the first slots its values occupy.
         firsts = [i for i, v in enumerate(vals) if i == 0 or v != vals[i - 1]]
         for a in firsts:
+            va = vals[a]
+            if va + vals[a + 1] + vals[a + 2] < least:
+                break
             for b in [a + 1] + [i for i in firsts if i > a + 1]:
-                low = t - vals[a] - vals[b]  # the smallest raised value
+                low = t - va - vals[b]  # the smallest raised value
                 if low + t - vals[b + 1] > max_degree:
                     break
+                # The raised values stay the three largest: low is at least
+                # the largest kept value, vals[0] for a > 0 and vals[1] for
+                # b > 1. The test against vals[1] also drops (a, b) = (0, 1),
+                # where no c works: every node has t < v_0 + v_1 + v_2 (it is
+                # the root, or s_0 lowers it), so there low < v_2.
+                if low < vals[1 if a == 0 else 0]:
+                    continue
                 for c in [b + 1] + [i for i in firsts if i > b + 1]:
+                    if vals[c] >= low:  # the c window is [low + t - D, low)
+                        continue
                     t2 = low + t - vals[c]
                     if t2 > max_degree:
                         break
-                    top = 0 if a else 1 if b > 1 else 2 if c > 2 else 3  # largest kept
-                    if t2 > t and low >= vals[top]:
-                        kept = vals[:a] + vals[a + 1 : b] + vals[b + 1 : c] + vals[c + 1 :]
-                        child = (t - vals[b] - vals[c], t - vals[a] - vals[c], low) + kept
-                        stack.append((t2, child[: len(child) - child.count(0)]))
+                    kept = vals[:a] + vals[a + 1 : b] + vals[b + 1 : c] + vals[c + 1 :]
+                    child = (t - vals[b] - vals[c], t - va - vals[c], low) + kept
+                    stack.append((t2, child[: len(child) - child.count(0)]))
     found.sort()
     return [DivisorClass(t, m) for t, m in found]
 

@@ -19,16 +19,18 @@ settings.load_profile("fatpt")
 
 @pytest.fixture
 def reduce_calls(monkeypatch):
-    """A list that gets one entry, the class, per call of ``weyl.reduce``
-    through any fatpt module that binds it."""
+    """A list that gets one entry, the class, per reduction: each call of
+    ``weyl.reduce`` or of its word-free form ``weyl.reduce_class``, through
+    any fatpt module that binds either."""
     calls = []
-    original = weyl.reduce
+    for fname in ("reduce", "reduce_class"):
+        original = getattr(weyl, fname)
 
-    def counted(f):
-        calls.append(f)
-        return original(f)
+        def counted(f, original=original):
+            calls.append(f)
+            return original(f)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "fatpt" and getattr(module, "reduce", None) is original:
-            monkeypatch.setattr(module, "reduce", counted)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "fatpt" and getattr(module, fname, None) is original:
+                monkeypatch.setattr(module, fname, counted)
     return calls

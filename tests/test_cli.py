@@ -205,6 +205,19 @@ def test_enumerate_exceptional(capsys):
     assert [r["forced"] for r in rep["rows"]] == [[0, 1], [1, 1], [1, 2]]
 
 
+@pytest.mark.parametrize("max_degree", [-1, 0, 1, 3, 8, 14])
+def test_enumerate_writer_matches_json_dumps(capsys, monkeypatch, max_degree):
+    # The fixed-shape row writer gives the bytes of the indenting encoder,
+    # for empty rows, rows with and without a forced type, and many rows.
+    argv = ["enumerate-exceptional", "--max-degree", str(max_degree)]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    monkeypatch.setattr(cli, "_enumerate_json", lambda r: json.dumps(r, indent=2, sort_keys=True))
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_sweep_small_all_guaranteed(capsys):
     code, rep = run_json(capsys, ["sweep", "--max-degree", "3"])
     assert code == 0
@@ -313,6 +326,11 @@ GOLDEN_REPORTS = [
     ('verify-cokernel --class 3;2,1,1,1,1,1,1 --m 3 --method both', 0, "a2212972539d89542e9e4be263161383987756cd87f3edccc751f2b388f28809"),
     ('enumerate-exceptional --max-degree 6', 0, "cc57d768cedeeb0c2f03a8c3359eb8999ae439279700944c1cb606c29b33c94b"),
     ('enumerate-exceptional --max-degree 6 --format tsv', 0, "7ed0208a657c27030b64c2c6e7610e28210af917a695b9b0d549bb311f48995c"),
+    ('enumerate-exceptional --max-degree 0', 0, "86f277074674ca90ad890be84f4bbb598c44edc0fdb692d30d370a82bccb0a83"),
+    ('enumerate-exceptional --max-degree 16', 0, "6bc82ad64a22fa3bb83fcd673f634f4a0a0dc760f3397e5ae32729908f31aa50"),
+    # The first two random schemes of the benchmark's lattice workload.
+    ('resolution --mults 78,75,74,67,65,56,47,8,5', 0, "e54b7bc0e45aab54d583fca0334649e40d15c9caf0298d7ae81a2315a0d98c85"),
+    ('hilbert --mults 65,34,30,26,23,20,18,16,14,6,3', 0, "f500afe8ffe538314820847aef2d1793317e92df0330e85057699a0ce4ee57e0"),
     ('sweep --max-degree 13 --verify --prime 2147483647', 0, "bf0606d77f29b163cc0ba6f83c4a5a1535ccf5bbe4a65eb999758b14dc2e8af5"),
     ('sweep --max-degree 13 --trials 1 --format tsv', 0, "aff9b5ddfe7d1a36794161d2f939a59969cf3f8885b31d2301fbd1361494dc32"),
     # Small primes: 21 draws of the first are rejected and drawn again (5

@@ -45,15 +45,20 @@ def test_candidate_pairs_rejects_bad_input():
         candidate_pairs(0, 0)
     with pytest.raises(InputError):
         candidate_pairs(5, 6)
+    for d, m in ((0, 0), (5, 6), (5, -1)):
+        with pytest.raises(InputError):
+            forced_type(d, m)
     with pytest.raises(InputError):
         SplittingType(3, 2)
 
 
 def test_forced_type_threshold():
-    # unique candidate exactly when d <= 2m+1
-    for d in range(1, 16):
+    # unique candidate exactly when d <= 2m+1, and forced_type returns it
+    for d in range(1, 81):
         for m in range(d + 1):
             forced = forced_type(d, m)
+            cands = candidate_pairs(d, m)
+            assert forced == (cands[0] if len(cands) == 1 else None)
             assert (forced is not None) == (d <= 2 * m + 1)
             if forced is not None:
                 assert forced == SplittingType(min(m, d - m), max(m, d - m))

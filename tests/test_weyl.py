@@ -30,6 +30,7 @@ from fatpt.weyl import (
     line_reduction,
     orbit_of_line,
     reduce,
+    reduce_class,
 )
 
 # The running 11-point example: one scheme, three consecutive degrees with
@@ -210,6 +211,25 @@ def test_apply_word_matches_generator_fold(ops, f, inverse):
     assert _outcome(apply_word, ops, f, inverse=inverse) == _outcome(
         _reference_word, ops, f, inverse=inverse
     )
+
+
+@given(
+    st.builds(
+        DivisorClass,
+        st.integers(-40, 40),
+        st.lists(st.integers(-15, 15), min_size=0, max_size=12).map(tuple),
+    )
+)
+@example(DivisorClass(0, ()))
+@example(DivisorClass(1, (1,)))
+@example(DivisorClass(-1, (2, -3)))
+@example(DivisorClass(13, (5, 5, 5, 5, 5, 5, 4, 1, 1, 1, 1)))
+@settings(max_examples=400)
+def test_reduce_class_matches_reduce(f):
+    # The word-free loop sorts with list.sort and records nothing; it ends at
+    # the same class (padded to 3 slots for n < 3) with the same status.
+    rf = reduce(f)
+    assert reduce_class(f) == (rf.reduced, rf.status)
 
 
 def test_reduce_idempotent():
