@@ -10,12 +10,14 @@ outer-product update per pivot:
 * the back phase clears the rows above each pivot, bottom pivot first, which
   turns the echelon form into the reduced one.
 
-``rank`` needs only the pivot count and runs the forward phase alone. ``rref``
-runs both; ``nullspace`` reads its canonical basis off the reduced form. The
+``rank`` needs only the pivot count and runs the forward phase alone, and so
+does ``nullspace``: its canonical basis (the one the reduced form gives) is
+solved from the echelon form by back-substitution, one vector per free
+column. ``rref`` runs both phases; the tests and ``rref_using`` read it. The
 pivot rule is deterministic (first nonzero entry in column order, scanning
-rows top-down), so ranks, pivot columns and reduced echelon forms are
-reproducible bit for bit, and the reduced form is the one Gauss-Jordan
-elimination with the same rule gives.
+rows top-down), so ranks, pivot columns, reduced echelon forms and nullspace
+bases are reproducible bit for bit, and the reduced form is the one
+Gauss-Jordan elimination with the same rule gives.
 
 Entries are int64, and reduction mod p is delayed (the delayed reduction of
 FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). Each pivot step
@@ -196,20 +198,31 @@ def ranks(stack: np.ndarray, p: int) -> np.ndarray:
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right nullspace of ``a`` mod p, one vector per row.
 
-    The basis is the canonical one read off the reduced echelon form: one
-    vector per free column (ascending), with a 1 in the free position. A
-    matrix with zero rows yields the identity.
+    The basis is the canonical one of the reduced echelon form: one vector
+    per free column (ascending), with a 1 in the free position and 0 at the
+    other free columns. The free coordinates fix a kernel vector, so the
+    forward phase is enough: bottom pivot first, each pivot coordinate is
+    minus its echelon row's dot product with the coordinates past it. That
+    sum of up to cols products below (p-1)**2 is taken unreduced when
+    ``_cap(p) >= cols``; otherwise each product is reduced first. A matrix
+    with zero rows yields the identity.
     """
     work = np.ascontiguousarray(a, dtype=np.int64) % p
     cols = work.shape[1]
-    r, piv = rref(work, p)
+    r, piv = _forward(work, p)
     is_free = np.ones(cols, dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, piv] = (-work[:r, free].T) % p
-    return basis
+    # One column per basis vector, so each solve reads contiguous rows.
+    x = np.zeros((cols, free.size), dtype=np.int64)
+    x[free, np.arange(free.size)] = 1
+    exact = _cap(p) >= cols
+    for j in range(r - 1, -1, -1):
+        c = int(piv[j])
+        row, tail = work[j, c + 1 :], x[c + 1 :]
+        s = row @ tail if exact else (row[:, None] * tail % p).sum(axis=0)
+        x[c] = -s % p
+    return np.ascontiguousarray(x.T)
 
 
 # The benchmark harness (perfbench/run.py, perfbench/elimination.py) still

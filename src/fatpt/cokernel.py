@@ -60,13 +60,9 @@ DEFAULT_COLUMN_CEILING = 16000
 def monomial_exponents(d: int) -> np.ndarray:
     """Exponent triples (i, j, k), i+j+k = d, in the fixed column order
     (i ascending, then j ascending)."""
-    out = np.empty(((d + 1) * (d + 2) // 2, 3), dtype=np.int64)
-    r = 0
-    for i in range(d + 1):
-        for j in range(d - i + 1):
-            out[r] = (i, j, d - i - j)
-            r += 1
-    return out
+    i = np.repeat(np.arange(d + 1), np.arange(d + 1, 0, -1))
+    j = np.arange(i.size) - monomial_index(d, i, 0)
+    return np.stack([i, j, d - i - j], axis=1)
 
 
 def monomial_index(d: int, i, j):
@@ -81,9 +77,9 @@ def _falling_table(max_e: int, max_o: int, p: int) -> np.ndarray:
     """ff[e, o] = e (e-1) ... (e-o+1) mod p, zero when o > e."""
     ff = np.zeros((max_e + 1, max_o + 1), dtype=np.int64)
     ff[:, 0] = 1
+    e = np.arange(max_e + 1)
     for o in range(1, max_o + 1):
-        for e in range(max_e + 1):
-            ff[e, o] = ff[e, o - 1] * max(e - o + 1, 0) % p
+        ff[:, o] = ff[:, o - 1] * np.maximum(e - o + 1, 0) % p
     return ff
 
 
@@ -101,7 +97,13 @@ def fat_point_matrix(points, d: int, mults, p: int = DEFAULT_PRIME, columns=None
     of degree d. Multiplicity >= m at P is exactly the vanishing of the
     C(m+1, 2) order-(m-1) partials there (Euler reduces lower orders).
     ``columns`` (indices in the order of monomial_exponents) builds only
-    those columns."""
+    those columns.
+
+    The partial with orders (alpha, beta, gamma) of x^i y^j z^k at (x, y, z)
+    separates: X[alpha, i] Y[beta, j] Z[gamma, k] with
+    X[alpha, i] = ff(i, alpha) x^(i-alpha), which is 0 for i < alpha (and
+    0^0 = 1). A point's rows are built from its three tables at once, in
+    the order alpha ascending, then beta ascending."""
     pts = np.asarray(points, dtype=np.int64) % p
     mults = [int(v) for v in mults]
     if pts.shape[0] != len(mults):
@@ -109,28 +111,24 @@ def fat_point_matrix(points, d: int, mults, p: int = DEFAULT_PRIME, columns=None
     exps = monomial_exponents(d)
     if columns is not None:
         exps = exps[columns]
-    ii, jj, kk = exps[:, 0], exps[:, 1], exps[:, 2]
     nrows = sum(mu * (mu + 1) // 2 for mu in mults)
-    mat = np.zeros((nrows, exps.shape[0]), dtype=np.int64)
-    maxmu = max(mults) if mults else 0
+    mat = np.empty((nrows, exps.shape[0]), dtype=np.int64)
+    maxmu = max(mults, default=0)
     ff = _falling_table(d, max(maxmu - 1, 0), p)
+    # shift[o, e] = e - o, the power in X[o, e]; clamped at 0 where e < o,
+    # since ff(e, o) = 0 there.
+    shift = np.maximum(np.arange(d + 1) - np.arange(maxmu)[:, None], 0)
     r = 0
     for pt, mu in zip(pts, mults):
         if mu == 0:
             continue
-        px = _pow_table(int(pt[0]), d, p)
-        py = _pow_table(int(pt[1]), d, p)
-        pz = _pow_table(int(pt[2]), d, p)
-        for alpha in range(mu):
-            for beta in range(mu - alpha):
-                gamma = mu - 1 - alpha - beta
-                ok = (ii >= alpha) & (jj >= beta) & (kk >= gamma)
-                row = ff[ii, alpha] * ff[jj, beta] % p * ff[kk, gamma] % p
-                row = row * px[np.maximum(ii - alpha, 0)] % p
-                row = row * py[np.maximum(jj - beta, 0)] % p
-                row = row * pz[np.maximum(kk - gamma, 0)] % p
-                mat[r] = np.where(ok, row, 0)
-                r += 1
+        orders = np.array([(a, b) for a in range(mu) for b in range(mu - a)], dtype=np.int64)
+        alpha, beta = orders[:, :1], orders[:, 1:]
+        x, y, z = (ff.T[:mu] * _pow_table(int(v), d, p)[shift[:mu]] % p for v in pt)
+        mat[r : r + orders.shape[0]] = (
+            x[alpha, exps[:, 0]] * y[beta, exps[:, 1]] % p * z[mu - 1 - alpha - beta, exps[:, 2]] % p
+        )
+        r += orders.shape[0]
     return mat
 
 
@@ -201,11 +199,11 @@ def mu_rank_oracle(
         )
     ideal_t = _kernels.nullspace(fat_point_matrix(points, t, z.mults, p), p)
     h0 = ideal_t.shape[0]
-    h0p = _kernels.nullspace(fat_point_matrix(points, t + 1, z.mults, p), p).shape[0]
+    cols1 = (t + 2) * (t + 3) // 2
+    h0p = cols1 - _kernels.rank(fat_point_matrix(points, t + 1, z.mults, p), p)
     if h0 == 0:
         return h0p
     exps = monomial_exponents(t)
-    cols1 = (t + 2) * (t + 3) // 2
     prod = np.zeros((3 * h0, cols1), dtype=np.int64)
     ix = monomial_index(t + 1, exps[:, 0] + 1, exps[:, 1])
     iy = monomial_index(t + 1, exps[:, 0], exps[:, 1] + 1)
@@ -310,12 +308,13 @@ def _product_matrix(basis: np.ndarray, tp: int, d: int, m: int) -> np.ndarray:
     """Rows: each H0(L') basis form times each degree-(d-1) monomial
     a^pg b^qg c^rg with pg+qg >= d-m, projected to coefficients of monomials
     of a+b degree in [2d-m, 2d-1] (the quotient past the ideal power at the
-    second base point)."""
+    second base point). Columns and multipliers both run by a+b degree, so
+    the rows form a staircase, one level per multiplier degree."""
     wa, wb = np.array(
         [(a, s - a) for s in range(2 * d - m, 2 * d) for a in range(s + 1)], dtype=np.int64
     ).reshape(-1, 2).T
     pg, qg = np.array(
-        [(i, j) for i in range(d) for j in range(d - i) if i + j >= d - m], dtype=np.int64
+        [(i, s - i) for s in range(d - m, d) for i in range(s + 1)], dtype=np.int64
     ).reshape(-1, 2).T
     fa = wa - pg[:, None]
     fb = wb - qg[:, None]

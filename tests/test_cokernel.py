@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from fatpt.errors import InfeasibleError, InputError
 from fatpt.lattice import DivisorClass, intersect, line_class, parse_class, point_class
 from fatpt import cokernel
-from fatpt._kernels import nullspace
+from fatpt._kernels import nullspace, rank
 from fatpt.cokernel import (
     DEFAULT_COLUMN_CEILING,
     cok_dimension,
@@ -26,9 +28,19 @@ def test_monomial_index_roundtrip():
     for d in (0, 1, 2, 5, 9):
         exps = monomial_exponents(d)
         assert exps.shape == ((d + 1) * (d + 2) // 2, 3)
+        assert exps.dtype == np.int64
+        assert exps.tolist() == [[i, j, d - i - j] for i in range(d + 1) for j in range(d - i + 1)]
         assert (exps.sum(axis=1) == d).all()
         idx = monomial_index(d, exps[:, 0], exps[:, 1])
         assert (idx == np.arange(exps.shape[0])).all()
+
+
+@pytest.mark.parametrize("p", [5, 7, 31991])
+def test_falling_table_matches_perm(p):
+    for max_e, max_o in ((0, 0), (7, 3), (9, 12), (20, 20)):
+        ff = cokernel._falling_table(max_e, max_o, p)
+        assert ff.dtype == np.int64
+        assert ff.tolist() == [[math.perm(e, o) % p for o in range(max_o + 1)] for e in range(max_e + 1)]
 
 
 def test_fat_point_matrix_shapes_and_vanishing():
@@ -65,6 +77,98 @@ def test_fat_point_matrix_conic_through_five():
     assert nullspace(fat_point_matrix(pts, 2, (1,) * 5, p), p).shape[0] == 1
     with pytest.raises(InputError):
         fat_point_matrix(pts, 2, (1,) * 4, p)
+
+
+def _reference_fat_point_matrix(points, d, mults, p, columns=None):
+    """Entry by entry from the definition: for each point, one row per order
+    triple (alpha, beta, mu-1-alpha-beta), alpha ascending then beta, holding
+    d^alpha/dx^alpha d^beta/dy^beta d^gamma/dz^gamma of each monomial
+    x^i y^j z^k at the point, in Python integers (0**0 == 1)."""
+    exps = [(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)]
+    if columns is not None:
+        exps = [exps[c] for c in columns]
+    rows = []
+    for pt, mu in zip(points, mults):
+        for alpha in range(mu):
+            for beta in range(mu - alpha):
+                orders = (alpha, beta, mu - 1 - alpha - beta)
+                row = []
+                for exp in exps:
+                    v = 1
+                    for coord, o, e in zip(pt, orders, exp):
+                        v *= math.perm(e, o) * int(coord) ** (e - o) if e >= o else 0
+                    row.append(v % p)
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "p, d, points, mults, columns",
+    [
+        # zero coordinates: 0**0 = 1 at the exponents equal to the order
+        (31991, 6, [(0, 3, 5), (2, 0, 0), (0, 0, 7), (4, 5, 6)], (3, 2, 2, 1), None),
+        (31991, 4, [(0, 0, 1), (1, 0, 0), (0, 1, 0)], (4, 5, 1), None),  # orders above d
+        # p at or below d: some falling factorials are 0 mod p
+        (5, 7, [(1, 2, 3), (0, 4, 1), (3, 0, 0), (2, 2, 2)], (4, 3, 3, 1), None),
+        (101, 8, [(7, 0, 9), (13, 21, 1), (0, 0, 5)], (3, 4, 2), [0, 2, 3, 7, 11, 12, 20, 33, 40, 44]),
+        (31991, 5, [(3, 1, 4), (1, 5, 9), (0, 2, 6)], (2, 0, 3), None),  # a multiplicity 0
+        (31991, 3, [(2, 7, 1)], (0,), None),  # no rows at all
+        (2**31 - 1, 9, [(2**31 - 2, 2**30, 12345), (0, 2**31 - 3, 1)], (5, 3), [1, 4, 9, 16, 25, 36, 49]),
+    ],
+)
+def test_fat_point_matrix_matches_definition(p, d, points, mults, columns):
+    mat = fat_point_matrix(np.array(points), d, mults, p, None if columns is None else np.array(columns))
+    ncols = (d + 1) * (d + 2) // 2 if columns is None else len(columns)
+    assert mat.dtype == np.int64
+    assert mat.shape == (sum(mu * (mu + 1) // 2 for mu in mults), ncols)
+    assert mat.tolist() == _reference_fat_point_matrix(points, d, mults, p, columns)
+
+
+def _reference_product_rows(basis, tp, d, m):
+    """The product rows one multiplier at a time, multiplier-major (i
+    ascending, then j), one row per basis form: the coefficients of
+    f * a^i b^j c^(d-1-i-j) at the window monomials a^wa b^wb (a+b degree
+    2d-m to 2d-1, a ascending within a degree)."""
+    window = [(wa, s - wa) for s in range(2 * d - m, 2 * d) for wa in range(s + 1)]
+    rows = []
+    for i in range(d):
+        for j in range(d - i):
+            if i + j < d - m:
+                continue
+            for form in basis.tolist():
+                row = []
+                for wa, wb in window:
+                    fa, fb = wa - i, wb - j
+                    ok = fa >= 0 and fb >= 0 and fa + fb <= tp
+                    row.append(form[int(monomial_index(tp, fa, fb))] if ok else 0)
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "tp, d, m, staircase, seed",
+    [
+        (4, 3, 2, True, 1),
+        (7, 5, 3, True, 2),
+        (9, 6, 6, False, 3),
+        (12, 8, 1, True, 4),
+        (11, 9, 5, False, 5),
+        (14, 10, 7, True, 6),
+    ],
+)
+def test_product_matrix_rows_are_a_permutation(tp, d, m, staircase, seed):
+    # Random forms, or forms vanishing to order d at (0, 0, 1) as the H0(L')
+    # basis does, so that the rows form the level staircase.
+    p = 31991
+    rng = np.random.default_rng(seed)
+    basis = rng.integers(0, p, size=(3, (tp + 1) * (tp + 2) // 2), dtype=np.int64)
+    if staircase:
+        i, j, _ = monomial_exponents(tp).T
+        basis[:, i + j < d] = 0
+    mat = cokernel._product_matrix(basis, tp, d, m)
+    ref = _reference_product_rows(basis, tp, d, m)
+    assert sorted(mat.tolist()) == sorted(ref)
+    assert rank(mat, p) == rank(np.array(ref, dtype=np.int64), p)
 
 
 VERTICES = ((0, 0, 1), (1, 0, 0), (0, 1, 0))

@@ -135,6 +135,27 @@ def _banded(p, nforms, width, shifts, seed):
     return p, rows, ncols
 
 
+def _solve_worst_case(p, ncols):
+    """(p, rows, ncols): an echelon matrix of rank ncols - 1 whose rows hold
+    p - 1 past the diagonal and whose kernel vector is p - 1 at every pivot
+    column. Back-substituting the first pivot sums ncols - 2 products of
+    (p - 1)**2, which leaves int64 unless each is reduced first when
+    ``_cap(p)`` is below ncols - 2."""
+    last = ncols - 2
+    rows = [[0] * j + [1] + [p - 1] * (last - j) + [(j - last + 1) % p] for j in range(last + 1)]
+    return p, rows, ncols
+
+
+# Primes whose _cap is 36, 39, 40 and 41, around the 40 columns of the
+# boundary examples: back-substitution sums unreduced products only at 40
+# and 41.
+CAP_PRIMES = {36: 506166719, 39: 486309269, 40: 480191923, 41: 474299773}
+
+
+def test_cap_primes():
+    assert all(is_prime(p) and _kernels._cap(p) == cap for cap, p in CAP_PRIMES.items())
+
+
 @given(_rank_deficient_matrices())
 @example((7, [], 4))
 @example((101, [[], [], []], 0))
@@ -152,6 +173,13 @@ def _banded(p, nforms, width, shifts, seed):
 @example(_low_rank(31991, 60, 50, 7, 8))
 @example(_banded(31991, 3, 12, 30, 9))  # sparse: the gathered-rows update
 @example(_banded(2**31 - 1, 3, 12, 30, 10))
+@example(_solve_worst_case(CAP_PRIMES[36], 40))
+@example(_solve_worst_case(CAP_PRIMES[39], 40))
+@example(_solve_worst_case(CAP_PRIMES[40], 40))
+@example(_solve_worst_case(CAP_PRIMES[41], 40))
+@example(_low_rank(CAP_PRIMES[39], 30, 40, 6, 11))
+@example(_low_rank(CAP_PRIMES[40], 30, 40, 6, 12))
+@example(_low_rank(CAP_PRIMES[41], 30, 40, 6, 13))
 @settings(max_examples=200)
 def test_rref_and_nullspace_match_reference(case):
     p, rows, ncols = case
