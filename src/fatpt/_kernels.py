@@ -32,19 +32,9 @@ any matrix here takes at 31991. Each phase ends with one full reduction, so
 pivots are unique for a given matrix, so when the reductions happen does not
 change any output.
 
-``ranks`` is the forward phase over a (k, rows, cols) stack of small matrices
-(the syzygy matrices of many curve draws at once), one column at a time for
-the whole stack: each matrix takes its own pivot row, scaled by its own
-inverse, and the update of every matrix is one array operation, under the same
-delayed reduction. Rows are not swapped; a mask keeps the rows already used as
-pivots. A rank does not depend on which pivot a step takes, so each rank equals
-``rank`` of that matrix alone. For a 30x36 matrix ``rank`` makes a dozen numpy
-calls per column, each on a few hundred entries; the stack pays those calls
-once for all k matrices. ``rank`` keeps the row-swapping forward phase for one
-matrix: a stack of one updates every row on every pivot and has no
-gathered-rows update for sparse columns, and on the 46 product matrices of
-``sweep --max-degree 21 --verify`` (up to 585x468) it took 5.0 s against
-0.65 s for ``rank``.
+The syzygy degrees of the splitting draws take no rank: ``exactla`` counts
+them with an interpolation recursion. ``inverses`` serves the batched 3x3
+inverses of the point replay.
 """
 
 from __future__ import annotations
@@ -147,52 +137,9 @@ def rank(a: np.ndarray, p: int) -> int:
 
 def inverses(v: np.ndarray, p: int) -> np.ndarray:
     """The inverse mod p of each entry of a 1-d array of residues, with 0 for
-    0. One ``pow`` per entry: for the few dozen entries of a stack this is
-    faster than a vectorized Fermat power, which takes about 2*log2(p) array
-    operations."""
+    0. One ``pow`` per entry (about 1 us each); a vectorized Fermat power
+    takes about 2*log2(p) array operations instead."""
     return np.array([pow(x, -1, p) if x else 0 for x in v.tolist()], dtype=np.int64)
-
-
-def ranks(stack: np.ndarray, p: int) -> np.ndarray:
-    """Rank mod p of each matrix of a (k, rows, cols) stack, as an int64
-    array; ``stack`` is not modified.
-
-    Column by column, every matrix takes as pivot its first row not yet used
-    whose entry there is nonzero (none, when that column holds no new pivot),
-    and that row, scaled to a leading 1, is subtracted from the unused rows
-    on the columns past it. Matrices without a pivot in the column get a
-    zero pivot row, so the update is one array operation for the stack.
-    """
-    a = np.array(stack, dtype=np.int64) % p
-    k, nrows, cols = a.shape
-    cap = _cap(p)
-    free = np.ones((k, nrows), dtype=bool)
-    rank = np.zeros(k, dtype=np.int64)
-    ks = np.arange(k)
-    n = 0
-    for c in range(cols if nrows else 0):
-        col = a[:, :, c]
-        col %= p
-        nz = col != 0
-        nz &= free
-        piv = nz.argmax(axis=1)
-        has = nz[ks, piv]
-        if not has.any():
-            continue
-        rank += has
-        free[ks, piv] &= ~has
-        if c + 1 == cols or not free.any():
-            break
-        prow = a[ks, piv, c + 1 :] % p
-        prow *= inverses(col[ks, piv] * has, p)[:, None]
-        prow %= p
-        if n == cap:
-            a[:, :, c + 1 :] %= p
-            n = 0
-        col *= free
-        a[:, :, c + 1 :] -= col[:, :, None] * prow[:, None, :]
-        n += 1
-    return rank
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:

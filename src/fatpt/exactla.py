@@ -1,17 +1,18 @@
 """Exact linear algebra over a prime field F_p.
 
-Everything downstream (interpolation matrices, the syzygy degree of a
-rational curve read off its points, the multiplication-map verifier) reduces
-to ranks and nullspaces of integer matrices mod p. No floating point
-anywhere; a wrong rank would silently corrupt every prediction built on top,
-so the elimination (see _kernels) is deterministic. Matrices are plain int64
-arrays; ``_kernels.rank`` and ``_kernels.nullspace`` reduce a copy mod p.
+The interpolation matrices of fat point schemes and the multiplication-map
+verifier reduce to ranks and nullspaces of integer matrices mod p. No
+floating point anywhere; a wrong rank would silently corrupt every
+prediction built on top, so the elimination (see _kernels) is
+deterministic. Matrices are plain int64 arrays; ``_kernels.rank`` and
+``_kernels.nullspace`` reduce a copy mod p.
 
 ``syzygy_degrees`` reads the syzygy degrees of a stack of curves of one
-degree: its evaluation matrices are ranked as (k, rows, cols) stacks by
-``_kernels.ranks``, the first rank of every curve in one stack, the second
-in one stack per shape. ``min_syzygy_degree`` is the checked entry point for
-one curve, a stack of one.
+degree off their points without any rank: one division-free interpolation
+recursion (``_basis_degrees``) runs over all k curves at once, O(d**2) per
+curve, and the counts it leaves give both nullities the syzygy degree needs.
+``min_syzygy_degree`` is the checked entry point for one curve, a stack of
+one.
 
 The default prime 31991 is large enough that random point configurations are
 almost surely generic and small enough that int64 holds about 2**33 products
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
 from .errors import DegenerateConfiguration, InputError
 
 DEFAULT_PRIME = 31991
@@ -67,14 +67,14 @@ def min_syzygy_degree(t, pts, d: int, p: int) -> int:
     exactly when s(t_j) . pts[j] = 0 at d+e+1 of them, since s . phi has
     degree d+e; scaling a row does not change that. So the syzygies of
     degree e are the nullspace of the evaluation matrix with rows
-    pts[j][i] * t_j**k, k = 0..e.
+    pts[j][i] * t_j**k, k = 0..e, on the first d+e+1 points.
 
     For a coprime parametrization of degree d, Hilbert-Burch makes the
     syzygy module free, R(-a) + R(-b) with a + b = d (the mu-basis of the
     curve), so degree e has max(0, e-a+1) + max(0, e-b+1) syzygies. At
-    e = floor((d-1)/2) the second term vanishes, so one rank there gives
-    a = e + 1 - nullity, or a = d/2 when the nullity is 0. A second rank at
-    e = b must then show nullity b - a + 2. The two counts together accept
+    e = floor((d-1)/2) the second term vanishes, so the nullity there gives
+    a = e + 1 - nullity, or a = d/2 when the nullity is 0. The nullity at
+    e = b must then be b - a + 2. The two counts together accept
     exactly a degree-d curve of type (a, b); points of a curve of lower
     degree (a common factor, or a degenerate draw) give an impossible
     nullity or a mismatch, which raises ``DegenerateConfiguration``.
@@ -93,23 +93,42 @@ def min_syzygy_degree(t, pts, d: int, p: int) -> int:
     return a
 
 
-# Curves whose evaluation matrices are built and ranked as one stack: this
-# bounds the memory of the matrices and of their elimination temporaries.
-_CHUNK = 32
+def _basis_degrees(t: np.ndarray, pts: np.ndarray, p: int) -> np.ndarray:
+    """Degrees of a reduced basis of the syzygies of each curve's first n
+    points, for every n: ``t`` is (k, m) with distinct parameters per row and
+    ``pts`` (k, m, 3), entries in [0, p); returns the (k, m + 1, 3) degrees
+    after n = 0, ..., m points.
 
-
-def _nullities(t: np.ndarray, pts: np.ndarray, d: int, e: int, p: int) -> np.ndarray:
-    """Nullity of the degree-e evaluation matrix of each curve of a stack
-    (see ``min_syzygy_degree``), ranked ``_CHUNK`` curves at a time."""
-    rows = d + e + 1
-    out = np.empty(len(t), dtype=np.int64)
-    for lo in range(0, len(t), _CHUNK):
-        tc = t[lo : lo + _CHUNK, :rows]
-        powers = np.ones(tc.shape + (e + 1,), dtype=np.int64)
-        for k in range(1, e + 1):
-            powers[:, :, k] = powers[:, :, k - 1] * tc % p
-        m = pts[lo : lo + _CHUNK, :rows, :, None] * powers[:, :, None, :] % p
-        out[lo : lo + _CHUNK] = 3 * (e + 1) - _kernels.ranks(m.reshape(len(tc), rows, 3 * (e + 1)), p)
+    The basis of the vector polynomials s with s(t_l) . P_l = 0 starts as
+    B = I_3, all degrees 0, and takes the points in order (the interpolation
+    recursion of Beckermann and Labahn, SIAM J. Matrix Anal. Appl. 1994).
+    R[i, l] = B_i(t_l) . P_l is the residual of basis vector i at point l.
+    At point j the pivot is the basis vector of least degree (lowest index
+    on ties) whose residual there is nonzero. Every other vector becomes
+    r_pi B_i - r_i B_pi, which vanishes at t_j, and the pivot becomes
+    (t - t_j) B_pi, one degree up; no step divides. The residuals are kept
+    in [0, p), so each product is below (p-1)**2 < 2**62 and a difference
+    of two is exact in int64 for every p below 2**31. A vector of least
+    degree as pivot keeps the leading coefficients independent: the basis
+    stays reduced, and the syzygies of degree at most e number
+    sum_i max(0, e - deg_i + 1).
+    """
+    k, m = t.shape
+    res = pts.transpose(0, 2, 1)
+    deg = np.zeros((k, 3), dtype=np.int64)
+    out = np.zeros((k, m + 1, 3), dtype=np.int64)
+    ks = np.arange(k)
+    for j in range(m):
+        # res holds the residuals at points j, j+1, ...
+        r = res[:, :, 0]
+        piv = np.where(r != 0, 3 * deg + np.arange(3), 3 * (m + 1)).argmin(axis=1)
+        rp = r[ks, piv]
+        has = rp != 0
+        prow = res[ks, piv, 1:]
+        res = (np.where(has, rp, 1)[:, None, None] * res[:, :, 1:] - r[:, :, None] * prow[:, None, :]) % p
+        res[ks, piv] = prow * np.where(has[:, None], (t[:, j + 1 :] - t[:, j, None]) % p, 1) % p
+        deg[ks, piv] += has
+        out[:, j + 1] = deg
     return out
 
 
@@ -119,25 +138,29 @@ def syzygy_degrees(t: np.ndarray, pts: np.ndarray, d: int, p: int) -> list[int |
     of ``t`` starts with 2d+1 distinct parameters (not checked).
 
     Returns, per curve, its syzygy degree a, or the message of the
-    ``DegenerateConfiguration`` that ``min_syzygy_degree`` raises for it. The
-    first rank, at e = floor((d-1)/2), is one stack for all k curves; the
-    second, at e = b, one stack per value of b.
+    ``DegenerateConfiguration`` that ``min_syzygy_degree`` raises for it.
+    Both nullities are read off one run of ``_basis_degrees`` over the first
+    2d+1 points of every curve: at e = floor((d-1)/2) after d+e+1 points,
+    and at e = b after d+b+1.
     """
     k = len(t)
+    ks = np.arange(k)
+    degs = _basis_degrees(t[:, : 2 * d + 1], pts[:, : 2 * d + 1], p)
+
+    def nullity(e: np.ndarray) -> np.ndarray:
+        return np.maximum(0, e[:, None] - degs[ks, d + e + 1] + 1).sum(axis=1)
+
     e = (d - 1) // 2
-    first = _nullities(t, pts, d, e, p) if d else np.zeros(k, dtype=np.int64)
+    first = nullity(np.full(k, e)) if d else np.zeros(k, dtype=np.int64)
     a = np.where(first > 0, e + 1 - first, d // 2)
     bad = (a < 0) | ((first == 0) & bool(d % 2))
-    out: list[int | str] = [0] * k
-    for i in np.flatnonzero(bad).tolist():
-        out[i] = f"syzygy nullity {first[i]} at degree {e} is impossible for a curve of degree {d}"
     b = d - a
-    for bv in sorted(set(b[~bad].tolist())):
-        idx = np.flatnonzero(~bad & (b == bv))
-        for i, second in zip(idx.tolist(), _nullities(t[idx], pts[idx], d, bv, p).tolist()):
-            ai = int(a[i])
-            expected = bv - ai + 2
-            out[i] = ai if second == expected else (
-                f"syzygy nullity {second} at degree {bv}, expected {expected} for type ({ai},{bv})"
-            )
+    expected = b - a + 2
+    second = nullity(np.where(bad, d, b))
+    out: list[int | str] = a.tolist()
+    for i in np.flatnonzero(bad | (second != expected)).tolist():
+        if bad[i]:
+            out[i] = f"syzygy nullity {first[i]} at degree {e} is impossible for a curve of degree {d}"
+        else:
+            out[i] = f"syzygy nullity {second[i]} at degree {b[i]}, expected {expected[i]} for type ({a[i]},{b[i]})"
     return out

@@ -16,19 +16,20 @@ configuration, replays the reduction on the points (recording each Cremona's
 base triangle), then pushes 2d+1 points of the final line back through the
 Cremonas, most recent first. Each lands, up to scale, on the plane image of
 the curve at its parameter, and the syzygy degree a is read off those points
-with two exact ranks (``exactla.syzygy_degrees``); the second rank also
-rejects a draw whose image has dropped degree. This is a randomized
+from two exact syzygy counts (``exactla.syzygy_degrees``); the second count
+also rejects a draw whose image has dropped degree. This is a randomized
 computation over one prime: results are correct for the drawn configuration
 but only provisional as statements about the generic curve, and reports
 label them so.
 
-Draws are stacks, not loops. A class's trials are one (k, n, 3) array: the
-word is replayed over it with batched 3x3 inverses, and the parameters are
-pushed back over all of it. The live draws of every class of one degree then
-share one stacked rank per syzygy shape (``_kernels.ranks``). A rejected
-draw carries the reason its first failing check gives and is drawn again
-under its trial's next seed, so every trial sees the draws, and casts the
-vote, it would alone.
+Draws are stacks, not loops. Every draw of every class of one degree is
+one (k, N, 3) array, ``_CHUNK`` draws at a time: each member's word is
+replayed over it in lockstep with batched 3x3 inverses (each member with its
+own row orders and its own number of Cremonas), the parameters are pushed
+back over all of it, and the syzygy degrees of the live draws are read in
+one recursion over the stack. A rejected draw carries the reason its first
+failing check gives and is drawn again under its trial's next seed, so
+every trial sees the draws, and casts the vote, it would alone.
 
 ``splitting_types`` is the single place that decides between the two: the
 closed form when the degree forces the type, else ``compute_splittings``
@@ -155,8 +156,11 @@ def _inv3(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _matvec(m: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
     """M x mod p for each row x of each member: m is (k, 3, 3), x is
-    (k, r, 3). Each product is reduced before the sum."""
-    return (x[:, :, None, :] * m[:, None] % p).sum(axis=3) % p
+    (k, r, 3), entries in [0, p). x is split into its bits from 16 up and
+    its low 16 bits, one matrix product each: every intermediate stays below
+    2**49, so int64 is exact for every p below 2**31."""
+    mt = m.transpose(0, 2, 1)
+    return ((x >> 16) @ mt % p * 65536 + (x & 65535) @ mt) % p
 
 
 def _quadratic(y: np.ndarray, p: int) -> np.ndarray:
@@ -171,73 +175,111 @@ def _reject(reasons: list, mask: np.ndarray, reason: str) -> None:
             reasons[i] = reasons[i] or reason
 
 
-def _replay_points(word: tuple[int, ...], pts: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """Transport a (k, n, 3) stack of point configurations through a
-    reduction word.
-
-    Swaps permute rows; each run of them is composed into one permutation
-    of the rows, applied before the next Cremona. A Cremona maps x to
-    q(M^-1 x) with q(y) = (y2 y3, y1 y3, y1 y2) and M the matrix of the
-    first three points; those three become the coordinate vertices. Returns
-    the final points, the (k, c, 3, 3) Cremona matrices M in application
-    order, and per member None or the reason it is rejected: its first
-    Cremona with collinear centers, or with a point that q sends to 0.
-    """
-    k, n = pts.shape[:2]
-    reasons: list = [None] * k
+def _row_orders(word: tuple[int, ...], n: int) -> np.ndarray:
+    """The (c + 1, n) row orders of a word with c Cremonas: row s is the run
+    of swaps before Cremona s composed into one permutation, applied as
+    ``pts[order]``; the last row is the run after the last Cremona."""
     order = list(range(n))
-    mats = []
+    orders = []
     for op in word:
         if op != CREMONA:
             order[op - 1], order[op] = order[op], order[op - 1]
             continue
-        pts = pts[:, order]
+        orders.append(order)
         order = list(range(n))
-        m = pts[:, :3].transpose(0, 2, 1) % p
-        inv, det = _inv3(m, p)
-        _reject(reasons, det == 0, "collinear Cremona centers")
-        q = _quadratic(_matvec(inv, pts[:, 3:], p), p)
-        _reject(reasons, ~q.any(axis=2).all(axis=1), "point collides with a Cremona center")
-        mats.append(m)
-        pts[:, 3:] = q
-        pts[:, :3] = np.eye(3, dtype=np.int64)
-    stacked = np.stack(mats, axis=1) if mats else np.empty((k, 0, 3, 3), dtype=np.int64)
-    return pts[:, order], stacked, reasons
+    orders.append(order)
+    return np.array(orders, dtype=np.intp)
 
 
-def _undo_cremonas(mats: np.ndarray, pts: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _undo_cremonas(mats: np.ndarray, active: list[int], pts: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Push a (k, r, 3) stack of points back through each member's recorded
-    Cremonas, most recent first: P <- M q(P). Returns the points and a mask
-    of the points that survive every step; a point with q(P) = 0 sits on a
-    base point of that undo and has no image."""
+    Cremonas, most recent first: P <- M q(P), with M = mats[i, s] for
+    member i's Cremona s. The members come sorted by their number of
+    Cremonas, most first, so the first active[s] of them are the ones that
+    have a step s, and the step applies to those only. Returns the points
+    (``pts`` is overwritten) and a mask of the points that survive every
+    step; a point with q(P) = 0 sits on a base point of that undo and has
+    no image."""
     alive = np.ones(pts.shape[:2], dtype=bool)
-    for j in reversed(range(mats.shape[1])):
-        q = _quadratic(pts, p)
-        alive &= q.any(axis=2)
-        pts = _matvec(mats[:, j], q, p)
+    for s in reversed(range(mats.shape[1])):
+        a = active[s]
+        q = _quadratic(pts[:a], p)
+        alive[:a] &= q.any(axis=2)
+        pts[:a] = _matvec(mats[:a, s], q, p)
     return pts, alive
 
 
-def parametrize(word: tuple[int, ...], d: int, n: int, p: int, seeds) -> tuple[np.ndarray, np.ndarray, list]:
-    """(t, pts, reasons) for one configuration per seed, as ``draw_points``
-    gives it: for each, 2d+1 points over F_p of the plane image of the
-    degree-d exceptional curve on n points whose line reduction is ``word``,
-    the point pts[i, j] at parameter t[i, j], each up to scale; ``reasons``
-    holds None, or why that draw is rejected.
+def parametrize(words, configs, d: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """(t, pts, mats, reasons) for a stack of draws of degree-d classes:
+    member i is the configuration configs[i] (an (n_i, 3) array, as
+    ``draw_points`` gives it) of a class whose line reduction is words[i].
+    For each member, pts[i, j] is a point over F_p of the plane image of its
+    curve at parameter t[i, j], up to scale, for 2d+1 parameters; mats[i, s]
+    is the matrix of its Cremona s, for s below its number of Cremonas (the
+    rest are 0); ``reasons`` holds None, or why that draw is rejected.
 
-    The configurations are replayed as one stack. The final line of each is
-    P = t A + B for its first two points A and B; the parameters t = 0, 1,
-    2, ... are pushed back through the reduction, and parameters that hit a
-    base point of some undo are dropped (t = 0 often is, so the first batch
-    has one spare parameter). Each draw keeps its first 2d+1 surviving
-    parameters. The caller validates p.
+    Every member is replayed in one (k, N, 3) stack, N the largest n_i; the
+    padding rows of shorter configurations take no part in any check. Before
+    each Cremona, each member's rows are put in its own order (the run of
+    swaps since its last Cremona, composed). A Cremona maps x to q(M^-1 x)
+    with q(y) = (y2 y3, y1 y3, y1 y2) and M the matrix of the first three
+    points; those three become the coordinate vertices. Members are sorted
+    by their number of Cremonas, so the ones that still have a step s are a
+    prefix of the stack, and a member with no more steps is left alone. A
+    member is rejected, with the reason of its first failing check, at its
+    first Cremona with collinear centers or with a point that q sends to 0,
+    or for a final line with a zero component.
+
+    The final line of each is P = t A + B for its first two points A and B;
+    the parameters t = 0, 1, 2, ... are pushed back through the reduction,
+    and parameters that hit a base point of some undo are dropped (t = 0
+    often is, so the first batch has one spare parameter). Each draw keeps
+    its first 2d+1 surviving parameters. The caller validates p.
     """
-    pts, mats, reasons = _replay_points(word, np.stack([draw_points(max(n, 3), p, s) for s in seeds]), p)
+    k = len(configs)
+    cache: dict = {}
+    member_orders = []
+    for word, x in zip(words, configs):
+        key = (word, len(x))
+        if key not in cache:
+            cache[key] = _row_orders(*key)
+        member_orders.append(cache[key])
+    counts = np.array([len(o) - 1 for o in member_orders], dtype=np.int64)
+    by_count = np.argsort(-counts, kind="stable")
+    n_max = max(len(x) for x in configs)
+    steps = int(counts.max())
+    active = [int((counts > s).sum()) for s in range(steps)]
+    perm = np.tile(np.arange(n_max), (k, steps + 1, 1))
+    pts = np.zeros((k, n_max, 3), dtype=np.int64)
+    sizes = np.empty(k, dtype=np.int64)
+    for row, i in enumerate(by_count.tolist()):
+        o = member_orders[i]
+        c, n = o.shape[0] - 1, o.shape[1]
+        perm[row, :c, :n] = o[:-1]
+        perm[row, steps, :n] = o[-1]
+        pts[row, :n] = configs[i]
+        sizes[row] = n
+    real = np.arange(3, n_max) < sizes[:, None]
+
+    reasons: list = [None] * k
+    mats = np.zeros((k, steps, 3, 3), dtype=np.int64)
+    for s, a in enumerate(active):
+        x = np.take_along_axis(pts[:a], perm[:a, s, :, None], axis=1)
+        m = mats[:a, s]
+        m[:] = x[:, :3].transpose(0, 2, 1)
+        inv, det = _inv3(m, p)
+        _reject(reasons, det == 0, "collinear Cremona centers")
+        q = _quadratic(_matvec(inv, x[:, 3:], p), p)
+        _reject(reasons, (~q.any(axis=2) & real[:a]).any(axis=1), "point collides with a Cremona center")
+        x[:, 3:] = q
+        x[:, :3] = np.eye(3, dtype=np.int64)
+        pts[:a] = x
+    pts = np.take_along_axis(pts, perm[:, steps, :, None], axis=1)
     _reject(reasons, ~(pts[:, :2] != 0).any(axis=1).all(axis=1), "degenerate final line")
     need = 2 * d + 1
 
     def push_back(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _undo_cremonas(mats, (ts[:, None] * pts[:, None, 0] + pts[:, None, 1]) % p, p)
+        return _undo_cremonas(mats, active, (ts[:, None] * pts[:, None, 0] + pts[:, None, 1]) % p, p)
 
     t = np.arange(min(need + 1, p), dtype=np.int64)
     image, alive = push_back(t)
@@ -250,35 +292,43 @@ def parametrize(word: tuple[int, ...], d: int, n: int, p: int, seeds) -> tuple[n
         alive = np.concatenate([alive, more_alive], axis=1)
     _reject(reasons, alive.sum(axis=1) < need, f"fewer than {need} parameters of F_{p} avoid the base points")
     first = np.argsort(~alive, axis=1, kind="stable")[:, :need]
-    return t[first], np.take_along_axis(image, first[:, :, None], axis=1), reasons
+    back = np.empty(k, dtype=np.intp)
+    back[by_count] = np.arange(k)
+    image = np.take_along_axis(image, first[:, :, None], axis=1)
+    return t[first][back], image[back], mats[back], [reasons[i] for i in back.tolist()]
+
+
+# Draws replayed and classified as one stack: this bounds the memory of the
+# replay, of the parameters pushed back and of the syzygy recursion.
+_CHUNK = 128
 
 
 def _draw(jobs, d: int, p: int) -> list[list]:
     """One draw per seed for classes of degree d. Each job is (word, n,
     cands, seeds): a class's line reduction, its number of points, its
-    allowed types and its seeds. Each class's draws are replayed as one
-    stack, and the syzygy degrees of every draw still live are read in one
-    stacked computation. Returns, per job and seed, the type or the reason
-    the draw is rejected, in the order the checks of one draw run: the
-    replay, the final line, the parameters, the two syzygy ranks, the
-    allowed range."""
-    outcomes, live_t, live_pts, slots = [], [], [], []
-    for j, (word, n, _, seeds) in enumerate(jobs):
-        t, pts, reasons = parametrize(word, d, n, p, seeds)
-        outcomes.append(reasons)
-        for i, why in enumerate(reasons):
-            if why is None:
-                slots.append((j, i))
-                live_t.append(t[i])
-                live_pts.append(pts[i])
-    if slots:
-        for (j, i), a in zip(slots, syzygy_degrees(np.stack(live_t), np.stack(live_pts), d, p)):
+    allowed types and its seeds. The draws of all jobs are replayed and
+    classified together, ``_CHUNK`` at a time, each from
+    ``draw_points(max(n, 3), p, seed)``. Returns, per job and seed, the
+    type or the reason the draw is rejected, in the order the checks of one
+    draw run: the replay, the final line, the parameters, the two syzygy
+    nullities, the allowed range."""
+    members = [(job, seed) for job in jobs for seed in job[3]]
+    flat: list = []
+    for lo in range(0, len(members), _CHUNK):
+        chunk = members[lo : lo + _CHUNK]
+        t, pts, _, outcomes = parametrize(
+            [job[0] for job, _ in chunk], [draw_points(max(job[1], 3), p, seed) for job, seed in chunk], d, p
+        )
+        live = [i for i, why in enumerate(outcomes) if why is None]
+        for i, a in zip(live, syzygy_degrees(t[live], pts[live], d, p) if live else ()):
             if isinstance(a, str):
-                outcomes[j][i] = a
+                outcomes[i] = a
                 continue
             st = SplittingType(a, d - a)
-            outcomes[j][i] = st if st in jobs[j][2] else f"type {st} outside the allowed range"
-    return outcomes
+            outcomes[i] = st if st in chunk[i][0][2] else f"type {st} outside the allowed range"
+        flat += outcomes
+    out = iter(flat)
+    return [[next(out) for _ in job[3]] for job in jobs]
 
 
 def compute_splittings(
@@ -291,8 +341,8 @@ def compute_splittings(
     attempt 0, 1, ...: a degenerate draw is drawn again under the next
     attempt, up to ``RETRY_CAP``. Each class is reduced once, and every draw
     reads that word. Consecutive classes of one degree are drawn together,
-    one attempt at a time: ``_draw`` stacks each class's draws and ranks
-    every live draw of the degree at once. The votes are counted in trial
+    one attempt at a time: ``_draw`` replays and classifies all of the
+    degree's draws of that attempt as one stack. The votes are counted in trial
     order. If some trial runs out of attempts, InfeasibleError names the
     first such class in the given order, with that trial's rejections
     counted by reason.

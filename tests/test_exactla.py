@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fatpt import _kernels
+from fatpt import _kernels, exactla
 from fatpt.errors import DegenerateConfiguration, InputError
 from fatpt.exactla import DEFAULT_PRIME, check_prime, is_prime, min_syzygy_degree, syzygy_degrees
 from test_splitting import _coprime, _evaluate, _form_comb, _form_mul
@@ -210,49 +210,6 @@ def test_rref_and_nullspace_match_reference(case):
     assert a.tolist() == rows
 
 
-@st.composite
-def _rank_stacks(draw):
-    """(p, stack): a (k, rows, cols) stack mixing zero, full-rank and
-    rank-deficient matrices (products of random rows x r and r x cols
-    factors, computed in Python integers), with repeated rows and columns
-    in some."""
-    p = draw(st.sampled_from([53, 31991, 2**31 - 1]))
-    k, rows, cols = draw(st.integers(1, 6)), draw(st.integers(0, 14)), draw(st.integers(0, 14))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    members = []
-    for kind in draw(st.lists(st.sampled_from(["zero", "full", "low", "repeat"]), min_size=k, max_size=k)):
-        if kind == "zero":
-            m = np.zeros((rows, cols), dtype=object)
-        elif kind == "full":
-            m = rng.integers(0, p, size=(rows, cols)).astype(object)
-        else:
-            inner = int(rng.integers(0, min(rows, cols) + 1))
-            left = rng.integers(0, p, size=(rows, inner)).astype(object)
-            m = left @ rng.integers(0, p, size=(inner, cols)).astype(object)
-            if kind == "repeat" and rows and cols:
-                m[:, rng.integers(0, cols, size=cols)] = m[:, :1] * int(rng.integers(1, p))
-                m[rng.integers(0, rows, size=rows)] = m[:1]
-        members.append(m % p)
-    return p, np.array(members, dtype=object).astype(np.int64).reshape(k, rows, cols)
-
-
-@given(_rank_stacks())
-@example((2**31 - 1, np.array([_low_rank(2**31 - 1, 40, 40, r, s)[1] for r, s in ((40, 5), (7, 6))])))
-@example((31991, np.array([_low_rank(31991, 30, 36, 30, 7)[1], [[0] * 36] * 30, _low_rank(31991, 30, 36, 11, 8)[1]])))
-@example((53, np.array([_banded(53, 3, 12, 30, 9)[1]] * 2)))
-@settings(max_examples=200)
-def test_stacked_ranks_match_rank(case):
-    # Each rank of the stack is ``rank`` of that matrix alone, including at
-    # 2**31 - 1, where the trailing block is reduced after every second
-    # update; the stack itself is left as it was.
-    p, stack = case
-    stack = np.asarray(stack, dtype=np.int64)
-    before = stack.copy()
-    got = _kernels.ranks(stack, p)
-    assert got.tolist() == [_kernels.rank(m, p) for m in stack]
-    assert (stack == before).all()
-
-
 # Forms are plain coefficient lists, as in test_splitting's form route: the
 # list [c_0, ..., c_d] is sum_i c_i u^i v^(d-i).
 
@@ -301,6 +258,78 @@ def _minors(pv, qv, p):
     ]
 
 
+@st.composite
+def _rank_stacks(draw):
+    """(p, t, pts): a stack of k configurations of m points of P^2, each
+    point at its own parameter (distinct residues per row of ``t``). The
+    members mix zero points, random points, points of rank 1 or 2 (one
+    point up to scale, or points on one line: products of random m x r and
+    r x 3 factors, computed in Python integers) and repeated points. So the
+    evaluation matrices of most members are rank-deficient."""
+    p = draw(st.sampled_from([3, 7, 101, 31991, 2**31 - 1]))
+    k, m = draw(st.integers(1, 6)), draw(st.integers(0, min(p, 13)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "full", "low", "repeat"]), min_size=k, max_size=k)):
+        if kind == "zero":
+            x = np.zeros((m, 3), dtype=object)
+        elif kind == "full":
+            x = rng.integers(0, p, size=(m, 3)).astype(object)
+        else:
+            inner = int(rng.integers(0, 3))
+            x = rng.integers(0, p, size=(m, inner)).astype(object) @ rng.integers(0, p, size=(inner, 3)).astype(object)
+            if kind == "repeat" and m:
+                x[rng.integers(0, m, size=m)] = x[:1] * int(rng.integers(1, p))
+        members.append(x % p)
+    distinct = st.lists(st.integers(0, p - 1), min_size=m, max_size=m, unique=True)
+    t = np.array([draw(distinct) for _ in range(k)], dtype=np.int64).reshape(k, m)
+    return p, t, np.array(members, dtype=object).astype(np.int64).reshape(k, m, 3)
+
+
+def _evaluation_nullity(t, pts, e, p):
+    """Reference: the syzygies of degree at most e of the points, counted as
+    3(e+1) minus the rank of their evaluation matrix, whose row j is
+    pts[j][i] * t_j**k for i = 0, 1, 2 and k = 0..e."""
+    rows = [[pts[j][i] * pow(int(t[j]), k, p) % p for i in range(3) for k in range(e + 1)] for j in range(len(t))]
+    return 3 * (e + 1) - _kernels.rank(np.array(rows, dtype=np.int64).reshape(len(t), 3 * (e + 1)), p)
+
+
+def _curve_stack(p, forms_list):
+    """(p, t, pts) for curves given by forms: their values at the 2d+1
+    parameters t = 0, ..., 2d."""
+    pts = [_points(forms, p)[1] for forms in forms_list]
+    return p, np.array([_points(forms_list[0], p)[0]] * len(pts)), np.array(pts)
+
+
+@given(_rank_stacks())
+# Zero points; (u, u, u), a curve of degree 0 read as a line; u * (u^2, v^2,
+# uv), a common factor; the cubic (v^3, u^3, u v^2), and a quintic that is
+# u^2 times a cubic, a curve of lower degree.
+@example((7, np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3, 3), dtype=np.int64)))
+@example(_curve_stack(3, [([0, 1], [0, 1], [0, 1]), ([0, 1], [1, 0], [1, 1])]))
+@example(_curve_stack(101, [([0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]), ([0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0])]))
+@example(_curve_stack(31991, [[[0, 0] + f for f in ([0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0])]]))
+@example(_curve_stack(2**31 - 1, [_minors([[1, 2, 3], [4, 0, 6], [7, 8, 1]], [[1, 0, 5, 2], [0, 3, 1, 1], [2, 2, 0, 7]], 2**31 - 1)]))
+@example((2**31 - 1, np.array([[3, 1, 4, 1 << 30, 2**31 - 2, 5, 9]]), np.full((1, 7, 3), 2**31 - 2)))
+@settings(max_examples=200)
+def test_interpolation_nullities_match_rank(case):
+    # The recursion's count of syzygies of degree at most e, after the first
+    # n points, equals the nullity of their evaluation matrix: at every n
+    # up to m = 2d+1 and every e with d+e+1 <= n, the pairs the syzygy
+    # degree reads. The input is left as it was.
+    p, t, pts = case
+    before = pts.copy()
+    degs = exactla._basis_degrees(t, pts, p)
+    assert degs.shape == (len(t), t.shape[1] + 1, 3)
+    assert (pts == before).all()
+    d = (t.shape[1] - 1) // 2
+    for c in range(len(t)):
+        for n in range(d + 1, t.shape[1] + 1):
+            for e in range(n - d):
+                got = int(np.maximum(0, e - degs[c, n] + 1).sum())
+                assert got == _evaluation_nullity(t[c, :n], pts[c, :n].tolist(), e, p), (c, n, e)
+
+
 @pytest.mark.parametrize(
     "forms, a",
     [
@@ -344,32 +373,25 @@ def test_min_syzygy_degree_matches_scan(p, d, data, seed):
             min_syzygy_degree(*_points(forms, p))
 
 
-def test_min_syzygy_degree_uses_two_ranks(monkeypatch):
-    calls = []
-    ranks = _kernels.ranks
-    monkeypatch.setattr(_kernels, "ranks", lambda a, p: calls.append(a.shape) or ranks(a, p))
+def test_min_syzygy_degree_reads_two_nullities():
     rng = np.random.default_rng(17)
     p = 31991
     forms = [[int(v) for v in rng.integers(1, p, size=10)] for _ in range(3)]
     t, pts, d, _ = _points(forms, p)
     assert min_syzygy_degree(t, pts, d, p) == 4
-    # e = 4 on 9 + 4 + 1 points, then e = b = 5 on 9 + 5 + 1 points.
-    assert calls == [(1, 14, 15), (1, 15, 18)]
-    # A stack of curves takes the same two ranks, each over the whole stack
-    # when the curves share b.
-    calls.clear()
+    # e = 4 on 9 + 4 + 1 points, then e = b = 5 on 9 + 5 + 1 points: the
+    # recursion's counts are the nullities of those evaluation matrices.
+    degs = exactla._basis_degrees(np.array([t]), np.array([pts]), p)[0]
+    for n, e, nullity in ((14, 4, 1), (15, 5, 3)):
+        assert np.maximum(0, e - degs[n] + 1).sum() == nullity == _evaluation_nullity(t[:n], pts[:n], e, p)
     stack = np.array([pts, np.roll(pts, 1, axis=1), pts]) % p
     assert syzygy_degrees(np.array([t] * 3), stack, d, p) == [4, 4, 4]
-    assert calls == [(3, 14, 15), (3, 15, 18)]
 
 
-def test_syzygy_degrees_groups_the_second_rank_by_b(monkeypatch):
-    # Curves of types (1, 4), (2, 3) and (1, 4), with one rejected: the
-    # first rank is one stack, the second one stack per b, and the rejected
-    # curve gets the message min_syzygy_degree raises.
-    calls = []
-    ranks = _kernels.ranks
-    monkeypatch.setattr(_kernels, "ranks", lambda a, p: calls.append(a.shape) or ranks(a, p))
+def test_syzygy_degrees_of_a_mixed_stack():
+    # Curves of types (1, 4), (2, 3) and (1, 4), with one rejected: each
+    # gets what min_syzygy_degree gives it alone, and the rejected curve the
+    # message it raises.
     p = 31991
     quintics = [
         ([0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]),  # (1, 4)
@@ -388,18 +410,19 @@ def test_syzygy_degrees_groups_the_second_rank_by_b(monkeypatch):
             expected.append(str(exc))
     assert got[:3] == [1, 2, 1] and "expected 7 for type (0,5)" in got[3]
     assert got == expected
-    # e = 2 on 8 points; then b = 3, 4 and 5 (the curve read as type (0, 5)).
-    assert calls[:4] == [(4, 8, 9), (1, 9, 12), (2, 10, 15), (1, 11, 18)]
 
 
 @pytest.mark.parametrize(
-    "fake_ranks",
-    [lambda a, p: np.full(len(a), a.shape[2]), lambda a, p: np.zeros(len(a), dtype=np.int64)],
+    "fake_degrees",
+    [
+        lambda t, pts, p: np.full((len(t), t.shape[1] + 1, 3), t.shape[1] + 1),
+        lambda t, pts, p: np.zeros((len(t), t.shape[1] + 1, 3), dtype=np.int64),
+    ],
 )
-def test_min_syzygy_degree_rejects_impossible_nullity(monkeypatch, fake_ranks):
-    # A full-rank matrix at odd d, or a nullity above e + 1, cannot come from
-    # a curve of degree d.
-    monkeypatch.setattr(_kernels, "ranks", fake_ranks)
+def test_min_syzygy_degree_rejects_impossible_nullity(monkeypatch, fake_degrees):
+    # No syzygy at all at odd d (degrees past every e), or a nullity above
+    # e + 1 (all degrees 0), cannot come from a curve of degree d.
+    monkeypatch.setattr(exactla, "_basis_degrees", fake_degrees)
     forms = ([0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0])
     with pytest.raises(DegenerateConfiguration):
         min_syzygy_degree(*_points(forms, 31991))

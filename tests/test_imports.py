@@ -21,3 +21,46 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert crossings == []
+
+
+def _referenced_names(tree, skip, own):
+    """Names a module refers to outside the subtree ``skip``: imported
+    names, attributes, strings that are exactly a name (the ones
+    ``monkeypatch.setattr`` and the benchmark's bindings pass) and, in the
+    defining module ``own``, loaded names. A bare name elsewhere is a local
+    or an imported name, whose import already counts."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and own and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_helper_has_a_caller():
+    # A module-level def or class of the package that nothing in src/,
+    # tests/ or perfbench/ refers to, outside its own definition, is dead
+    # code and is deleted.
+    root = SRC.parents[1]
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for d in ("src", "tests", "perfbench")
+        for path in sorted((root / d).rglob("*.py"))
+    }
+    unused = [
+        f"{path.name}: {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in _referenced_names(tree, node, other == path) for other, tree in trees.items())
+    ]
+    assert unused == []

@@ -28,7 +28,6 @@ from fatpt.splitting import (
     splitting_type,
     splitting_types,
     _draw,
-    _replay_points,
 )
 from fatpt.weyl import CREMONA, enumerate_exceptional, exceptional_points, line_reduction, orbit_of_line
 
@@ -225,7 +224,9 @@ def _reference_parametrize(e, pts, p):
     array), by the form route; raises DegenerateConfiguration where a
     component vanishes or a degree drops."""
     word, _ = line_reduction(e)
-    final, mats = _replay_points_reference(word, pts, p)
+    final, mats, reason = _replay_points_reference(word, pts, p)
+    if reason:
+        raise DegenerateConfiguration(reason)
     phi = [_form([final[1][i], final[0][i]], p) for i in range(3)]
     if not all(phi):
         raise DegenerateConfiguration("degenerate final line")
@@ -311,7 +312,7 @@ def test_parametrize_interpolates_multiplicities():
         assert len(_form_gcd(pulls[0], pulls[1], p)) - 1 == m, (i, m)
     # The point route samples the same curve: each point is a nonzero
     # multiple of phi at its parameter.
-    (t,), (pts,), reasons = parametrize(line_reduction(e)[0], e.t, e.n, p, [DEFAULT_SEED])
+    (t,), (pts,), _, reasons = parametrize([line_reduction(e)[0]], [config], e.t, p)
     assert reasons == [None]
     assert len(t) == 11 == len(set(t.tolist()))
     for tj, pj in zip(t, pts):
@@ -336,6 +337,9 @@ def test_point_route_matches_form_route(e, p, seeds):
     assert got == [_outcome(_reference_once, e, draw_points(max(e.n, 3), p, s), p) for s in seeds]
 
 
+_FORWARD_REASONS = ("collinear Cremona centers", "point collides with a Cremona center")
+
+
 def _both_reject(e, pts, p, monkeypatch):
     """Both routes reject the draw ``pts``; returns whether it got past the
     forward replay, so that only the checks of the undo could reject it."""
@@ -344,7 +348,7 @@ def _both_reject(e, pts, p, monkeypatch):
         _reference_once(e, pts, p)
     monkeypatch.setattr(splitting, "draw_points", lambda n, p, seed: pts)
     assert _draws(e, p, [0]) == ["degenerate"]
-    return _replay_points(line_reduction(e)[0], pts[None], p)[2] == [None]
+    return parametrize([line_reduction(e)[0]], [pts], e.t, p)[3][0] not in _FORWARD_REASONS
 
 
 def test_collinear_points_rejected_by_both_routes(monkeypatch):
@@ -505,8 +509,10 @@ def test_predict_report_provisional_flag():
 
 
 def _replay_points_reference(word, pts, p):
-    """_replay_points of one configuration in Python integers, one point at
-    a time; raises DegenerateConfiguration where it rejects the member."""
+    """The forward replay of ``parametrize`` for one configuration, in
+    Python integers, one point at a time: (points, Cremona matrices,
+    reason). It stops at the first failing check, with that reason; the
+    matrices then end with the failing Cremona's."""
     pts = [list(map(int, row)) for row in pts]
     mats = []
     for op in word:
@@ -514,10 +520,11 @@ def _replay_points_reference(word, pts, p):
             pts[op - 1], pts[op] = pts[op], pts[op - 1]
             continue
         m = [[pts[c][r] % p for c in range(3)] for r in range(3)]
+        mats.append(m)
         (a, b, c), (d, e, f), (g, h, i) = m
         det = (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
         if det == 0:
-            raise DegenerateConfiguration("collinear Cremona centers")
+            return pts, mats, "collinear Cremona centers"
         adj = [
             [e * i - f * h, c * h - b * i, b * f - c * e],
             [f * g - d * i, a * i - c * g, c * d - a * f],
@@ -525,14 +532,22 @@ def _replay_points_reference(word, pts, p):
         ]
         inv = pow(det, p - 2, p)
         minv = [[v * inv % p for v in row] for row in adj]
-        mats.append(m)
         for j in range(3, len(pts)):
             y = [sum(minv[r][k] * pts[j][k] for k in range(3)) % p for r in range(3)]
             pts[j] = [y[1] * y[2] % p, y[0] * y[2] % p, y[0] * y[1] % p]
             if not any(pts[j]):
-                raise DegenerateConfiguration("point collides with a Cremona center")
+                return pts, mats, "point collides with a Cremona center"
         pts[:3] = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    return pts, mats
+    return pts, mats, None
+
+
+def _undo_reference(mats, point, p):
+    """A point pushed back through the Cremonas ``mats``, most recent first,
+    in Python integers: P <- M q(P)."""
+    for m in reversed(mats):
+        q = [point[1] * point[2] % p, point[0] * point[2] % p, point[0] * point[1] % p]
+        point = [sum(x * y for x, y in zip(row, q)) % p for row in m]
+    return point
 
 
 def test_replay_points_at_largest_prime():
@@ -540,7 +555,7 @@ def test_replay_points_at_largest_prime():
     # of residues overflow int64 unless each is reduced before a sum (as in
     # the 3x3 determinants and matrix products). Every member matches the
     # reference, and the one with a repeated point is rejected, with the
-    # reference's reason, while the others go on.
+    # reference's reason, while the others go on to points of their curve.
     p = 2**31 - 1
     rng = np.random.default_rng(29)
     n = 14
@@ -552,20 +567,93 @@ def test_replay_points_at_largest_prime():
         for _ in range(3):
             ops += range(int(rng.integers(6, n)), 0, -1)
         ops.append(CREMONA)
+    # Two transported points move to the front for the final line.
+    for _ in range(2):
+        ops += range(int(rng.integers(6, n)), 0, -1)
     word = tuple(ops)
     stack = np.stack([draw_points(n, p, seed=s) for s in (31, 32, 33, 34)])
     stack[2, 9] = stack[2, 8] * 5 % p
-    got, mats, reasons = _replay_points(word, stack, p)
+    t, got, mats, reasons = parametrize([word] * 4, list(stack), 2, p)
     assert reasons[2] is not None and reasons.count(None) == 3
     for member in range(4):
-        try:
-            ref, ref_mats = _replay_points_reference(word, stack[member], p)
-        except DegenerateConfiguration as exc:
-            assert reasons[member] == str(exc)
-            continue
-        assert reasons[member] is None
-        assert got[member].tolist() == ref
-        assert [m.tolist() for m in mats[member]] == ref_mats
+        ref, ref_mats, why = _replay_points_reference(word, stack[member], p)
+        assert reasons[member] == why
+        if why is None:
+            assert [m.tolist() for m in mats[member]] == ref_mats
+            line = [[(int(tj) * x + y) % p for x, y in zip(ref[0], ref[1])] for tj in t[member]]
+            assert got[member].tolist() == [_undo_reference(ref_mats, pt, p) for pt in line]
+
+
+@pytest.mark.parametrize("p", [29, 2**31 - 1])
+def test_lockstep_replay_matches_each_class_alone(p):
+    # The draws of every class of one degree, interleaved in one stack: the
+    # classes differ in their number of points and of Cremonas. A third of
+    # the configurations get a repeated point and a third three collinear
+    # points, so that members are rejected at different Cremonas for each
+    # reason; at p = 29 many draws also run out of parameters. Each member
+    # gets the reason, the Cremona matrices and (when it is not rejected)
+    # the points it gets with its class alone, and the forward replay
+    # agrees with the reference.
+    d = 12
+    classes = [e for e in _SPLIT_CLASSES if e.t == d]
+    words = [line_reduction(e)[0] for e in classes]
+    assert len({e.n for e in classes}) > 3 and len({w.count(CREMONA) for w in words}) > 2
+    rng = np.random.default_rng(p)
+    members = []
+    for c, e in enumerate(classes):
+        for s in range(6):
+            x = draw_points(max(e.n, 3), p, derive_seed(p, c, s))
+            i, j, k = rng.choice(len(x), size=3, replace=False).tolist()
+            if s % 3 == 1:
+                x[k] = x[i] * 7 % p
+            elif s % 3 == 2:
+                x[k] = (3 * x[i] + 5 * x[j]) % p
+            members.append((c, x))
+    members = [members[i] for i in rng.permutation(len(members))]
+    t, pts, mats, reasons = parametrize([words[c] for c, _ in members], [x for _, x in members], d, p)
+    assert t.shape == (len(members), 2 * d + 1) and pts.shape == t.shape + (3,)
+    steps: dict = {reason: set() for reason in _FORWARD_REASONS}
+    for c, word in enumerate(words):
+        idx = [i for i, (cc, _) in enumerate(members) if cc == c]
+        cremonas = word.count(CREMONA)
+        alone = parametrize([word] * len(idx), [members[i][1] for i in idx], d, p)
+        assert [reasons[i] for i in idx] == alone[3]
+        assert mats[idx, :cremonas].tolist() == alone[2].tolist()
+        assert not mats[idx, cremonas:].any()
+        for i, a in zip(idx, range(len(idx))):
+            _, ref_mats, why = _replay_points_reference(word, members[i][1], p)
+            if why is not None:
+                assert reasons[i] == why
+                steps[why].add(len(ref_mats))
+                continue
+            assert reasons[i] not in _FORWARD_REASONS
+            assert mats[i, :cremonas].tolist() == ref_mats
+            if reasons[i] is None:
+                assert t[i].tolist() == alone[0][a].tolist()
+                assert pts[i].tolist() == alone[1][a].tolist()
+    assert all(len(at) >= 2 for at in steps.values()), steps
+    assert None in reasons
+    if p == 29:
+        assert any(r and r.startswith("fewer than") for r in reasons)
+
+
+def test_draw_straddles_a_chunk_boundary(monkeypatch):
+    # More draws than one chunk holds, and chunks that split a class's
+    # seeds: every class gets the outcomes it gets drawn alone.
+    d, p = 16, 1009
+    classes = [e for e in _RANDOMIZED_CLASSES if e.t == d]
+    jobs = [
+        (line_reduction(e)[0], e.n, candidate_pairs(d, max(e.m)), [derive_seed(5, c, s) for s in range(10)])
+        for c, e in enumerate(classes)
+    ]
+    assert sum(len(job[3]) for job in jobs) > splitting._CHUNK
+    alone = [_draw([job], d, p)[0] for job in jobs]
+    assert _draw(jobs, d, p) == alone
+    monkeypatch.setattr(splitting, "_CHUNK", 7)
+    assert _draw(jobs, d, p) == alone
+    outcomes = [got for res in alone for got in res]
+    assert any(isinstance(got, str) for got in outcomes)
+    assert sum(isinstance(got, SplittingType) for got in outcomes) > len(outcomes) // 2
 
 
 def test_inverse_3x3_stack_at_largest_prime():
