@@ -2,22 +2,16 @@
 
 The hot loop of the whole package is Gaussian elimination of integer matrices
 mod p (interpolation matrices for fat point schemes get large: thousands of
-rows and columns). Elimination runs in two phases, each one vectorized
-outer-product update per pivot:
+rows and columns). Elimination is one forward phase (``_forward``), one
+vectorized outer-product update per pivot: it brings the matrix to row
+echelon form, scaling each pivot row to 1 and clearing only the rows below
+it. No code clears above a pivot.
 
-* the forward phase (``_forward``) brings the matrix to row echelon form,
-  scaling each pivot row to 1 and clearing only the rows below it;
-* the back phase clears the rows above each pivot, bottom pivot first, which
-  turns the echelon form into the reduced one.
-
-``rank`` needs only the pivot count and runs the forward phase alone, and so
-does ``nullspace``: its canonical basis (the one the reduced form gives) is
-solved from the echelon form by back-substitution, one vector per free
-column. ``rref`` runs both phases; the tests and ``rref_using`` read it. The
-pivot rule is deterministic (first nonzero entry in column order, scanning
-rows top-down), so ranks, pivot columns, reduced echelon forms and nullspace
-bases are reproducible bit for bit, and the reduced form is the one
-Gauss-Jordan elimination with the same rule gives.
+``rank`` needs only the pivot count. ``nullspace`` solves its canonical basis
+(the one the reduced echelon form gives) from the echelon form by
+back-substitution, one vector per free column. The pivot rule is
+deterministic (first nonzero entry in column order, scanning rows top-down),
+so ranks, pivot columns and nullspace bases are reproducible bit for bit.
 
 Entries are int64, and reduction mod p is delayed (the delayed reduction of
 FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). Each pivot step
@@ -27,10 +21,9 @@ unreduced, with f and row in [0, p). After k such updates every entry lies in
 [-k*(p-1)**2, p), so the block is reduced in full only before an update that
 could leave int64: after ``_cap(p)`` updates, the largest k with
 k*(p-1)**2 < 2**63 - p. That is 2 at p = 2**31 - 1 and far more updates than
-any matrix here takes at 31991. Each phase ends with one full reduction, so
-``_forward`` and ``rref`` return entries in [0, p). The reduced form and the
-pivots are unique for a given matrix, so when the reductions happen does not
-change any output.
+any matrix here takes at 31991. The phase ends with one full reduction, so
+``_forward`` returns entries in [0, p). Every step is exact mod p, so when
+the reductions happen changes no output.
 
 The syzygy degrees of the splitting draws take no rank: ``exactla`` counts
 them with an interpolation recursion. ``inverses`` serves the batched 3x3
@@ -48,13 +41,13 @@ def _cap(p: int) -> int:
     return (2**63 - p - 1) // (p - 1) ** 2
 
 
-def _update(a: np.ndarray, rows: slice, idx: np.ndarray, c: int, prow: np.ndarray) -> None:
-    """Subtract (column c) times ``prow`` from the rows in ``rows`` whose
-    column-c entries are nonzero (``idx``, absolute), on columns c and past.
-    Column c comes out exactly 0 since the pivot is 1. More than half the
-    slice nonzero: the update runs on the slice in place; otherwise on the
-    gathered rows."""
-    span = a[rows, c:]
+def _update(a: np.ndarray, r: int, idx: np.ndarray, c: int, prow: np.ndarray) -> None:
+    """Subtract (column c) times ``prow`` from the rows below pivot row r
+    whose column-c entries are nonzero (``idx``, absolute), on columns c and
+    past. Column c comes out exactly 0 since the pivot is 1. More than half
+    of those rows nonzero: the update runs on all of them in place;
+    otherwise on the gathered rows."""
+    span = a[r + 1 :, c:]
     if 2 * idx.size > span.shape[0]:
         span -= span[:, :1] * prow
     else:
@@ -64,8 +57,8 @@ def _update(a: np.ndarray, rows: slice, idx: np.ndarray, c: int, prow: np.ndarra
 def _forward(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     """Reduce ``a`` in place to row echelon form mod p: each pivot is 1 and
     the entries below it are 0; rows above a pivot keep their entries in its
-    column. Every entry ends in [0, p). Returns (rank, pivot column indices);
-    input as for ``rref``."""
+    column. Every entry ends in [0, p). Returns (rank, pivot column indices).
+    ``a`` must be int64, 2d, C-contiguous, with entries already in [0, p)."""
     nrows, cols = a.shape
     cap = _cap(p)
     pivots = np.empty(min(nrows, cols), dtype=np.int64)
@@ -92,40 +85,13 @@ def _forward(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
             if k == cap:
                 a[r + 1 :, c + 1 :] %= p
                 k = 0
-            _update(a, slice(r + 1, None), below, c, prow)
+            _update(a, r, below, c, prow)
             k += 1
         pivots[r] = c
         r += 1
     if k:
         a %= p
     return r, pivots[:r]
-
-
-def rref(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
-    """Reduce ``a`` in place to reduced row echelon form mod p.
-
-    Returns (rank, pivot column indices). ``a`` must be int64, 2d,
-    C-contiguous, with entries already in [0, p).
-    """
-    r, pivots = _forward(a, p)
-    cap = _cap(p)
-    k = 0
-    for j in range(r - 1, 0, -1):
-        c = int(pivots[j])
-        prow = a[j, c:]
-        prow %= p
-        col = a[:j, c]
-        col %= p
-        above = col.nonzero()[0]
-        if above.size:
-            if k == cap:
-                a[:j, c + 1 :] %= p
-                k = 0
-            _update(a, slice(0, j), above, c, prow)
-            k += 1
-    if k:
-        a %= p
-    return r, pivots
 
 
 def rank(a: np.ndarray, p: int) -> int:
@@ -183,7 +149,8 @@ def backend_name() -> str:
 
 
 def rref_using(a: np.ndarray, p: int, backend: str) -> tuple[int, np.ndarray]:
-    """``rref`` under a named backend; only "numpy" exists."""
+    """``_forward`` under a named backend; only "numpy" exists. The harness
+    reads the rank and the pivots, which the echelon form already fixes."""
     if backend != "numpy":
         raise ValueError(f"unknown backend {backend!r}")
-    return rref(a, p)
+    return _forward(a, p)

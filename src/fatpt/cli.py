@@ -98,7 +98,7 @@ def _resolve_job(args) -> None:
 def _value_cell(v) -> str:
     if v is None:
         return "?"
-    if isinstance(v, tuple):
+    if isinstance(v, list):
         return f"{v[0]}..{v[1]}"
     return str(v)
 
@@ -179,15 +179,7 @@ def _cmd_resolution(args):
     )
     tsv = (
         ("degree", "generators", "syzygies", "flag"),
-        [
-            (
-                ent.degree,
-                _value_cell(ent.generators if ent.generators is not None else ent.generators_interval),
-                _value_cell(ent.syzygies if ent.syzygies is not None else ent.syzygies_interval),
-                ent.flag,
-            )
-            for ent in table.entries
-        ],
+        [(r["degree"], _value_cell(r["generators"]), _value_cell(r["syzygies"]), r["flag"]) for r in rows],
     )
     return report, tsv, 0
 

@@ -1,11 +1,10 @@
-"""Exact linear algebra over a prime field F_p.
+"""Exact linear algebra over a prime field F_p: the prime contract and the
+syzygy degrees of rational plane curves.
 
-The interpolation matrices of fat point schemes and the multiplication-map
-verifier reduce to ranks and nullspaces of integer matrices mod p. No
-floating point anywhere; a wrong rank would silently corrupt every
-prediction built on top, so the elimination (see _kernels) is
-deterministic. Matrices are plain int64 arrays; ``_kernels.rank`` and
-``_kernels.nullspace`` reduce a copy mod p.
+``check_prime`` states the contract every exact computation relies on: an
+odd prime below 2**31, so that one product of residues fits int64. No
+floating point anywhere; a wrong count would silently corrupt every
+prediction built on top. The row reduction itself lives in ``_kernels``.
 
 ``syzygy_degrees`` reads the syzygy degrees of a stack of curves of one
 degree off their points without any rank: one division-free interpolation

@@ -49,7 +49,7 @@ classes, a quantity computable from forced types and recursive splittings.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -303,32 +303,31 @@ def parametrize(words, configs, d: int, p: int) -> tuple[np.ndarray, np.ndarray,
 _CHUNK = 128
 
 
-def _draw(jobs, d: int, p: int) -> list[list]:
-    """One draw per seed for classes of degree d. Each job is (word, n,
-    cands, seeds): a class's line reduction, its number of points, its
-    allowed types and its seeds. The draws of all jobs are replayed and
-    classified together, ``_CHUNK`` at a time, each from
-    ``draw_points(max(n, 3), p, seed)``. Returns, per job and seed, the
-    type or the reason the draw is rejected, in the order the checks of one
-    draw run: the replay, the final line, the parameters, the two syzygy
-    nullities, the allowed range."""
-    members = [(job, seed) for job in jobs for seed in job[3]]
-    flat: list = []
-    for lo in range(0, len(members), _CHUNK):
-        chunk = members[lo : lo + _CHUNK]
-        t, pts, _, outcomes = parametrize(
-            [job[0] for job, _ in chunk], [draw_points(max(job[1], 3), p, seed) for job, seed in chunk], d, p
-        )
-        live = [i for i, why in enumerate(outcomes) if why is None]
-        for i, a in zip(live, syzygy_degrees(t[live], pts[live], d, p) if live else ()):
-            if isinstance(a, str):
-                outcomes[i] = a
-                continue
-            st = SplittingType(a, d - a)
-            outcomes[i] = st if st in chunk[i][0][2] else f"type {st} outside the allowed range"
-        flat += outcomes
-    out = iter(flat)
-    return [[next(out) for _ in job[3]] for job in jobs]
+def _draw(draws, p: int) -> list:
+    """One outcome per draw. Each draw is (class, word, cands, seed): the
+    class, its line reduction, its allowed types and the seed of its
+    configuration, ``draw_points(max(n, 3), p, seed)``. Consecutive draws of
+    one degree are replayed and classified together, ``_CHUNK`` at a time.
+    An outcome is the type, or the reason the draw is rejected, in the order
+    the checks of one draw run: the replay, the final line, the parameters,
+    the two syzygy nullities, the allowed range."""
+    out: list = []
+    for d, run in groupby(draws, key=lambda draw: draw[0].t):
+        run = list(run)
+        for lo in range(0, len(run), _CHUNK):
+            chunk = run[lo : lo + _CHUNK]
+            t, pts, _, outcomes = parametrize(
+                [word for _, word, _, _ in chunk], [draw_points(max(e.n, 3), p, s) for e, _, _, s in chunk], d, p
+            )
+            live = [i for i, why in enumerate(outcomes) if why is None]
+            for i, a in zip(live, syzygy_degrees(t[live], pts[live], d, p) if live else ()):
+                if isinstance(a, str):
+                    outcomes[i] = a
+                    continue
+                st = SplittingType(a, d - a)
+                outcomes[i] = st if st in chunk[i][2] else f"type {st} outside the allowed range"
+            out += outcomes
+    return out
 
 
 def compute_splittings(
@@ -340,50 +339,36 @@ def compute_splittings(
     Trial i of a class draws under derive_seed(seed, i, attempt) for
     attempt 0, 1, ...: a degenerate draw is drawn again under the next
     attempt, up to ``RETRY_CAP``. Each class is reduced once, and every draw
-    reads that word. Consecutive classes of one degree are drawn together,
-    one attempt at a time: ``_draw`` replays and classifies all of the
-    degree's draws of that attempt as one stack. The votes are counted in trial
-    order. If some trial runs out of attempts, InfeasibleError names the
-    first such class in the given order, with that trial's rejections
-    counted by reason.
+    reads that word. Each attempt is one ``_draw`` over the open trials of
+    every class, which stacks the draws of consecutive classes of one
+    degree. The votes are counted in trial order. If some trial runs out of
+    attempts, InfeasibleError names the first such class in the given
+    order, with that trial's rejections counted by reason.
     """
     if trials < 1:
         raise InputError(f"trials {trials}: the vote needs at least one trial")
     check_prime(p)
-    out: list[SplittingType] = []
-    for _, run in groupby(classes, key=lambda e: e.t):
-        out += _splittings_of_degree(list(run), p, seed, trials)
-    return out
-
-
-def _splittings_of_degree(classes, p: int, seed, trials: int) -> list[SplittingType]:
-    """``compute_splittings`` for classes of one degree."""
+    classes = list(classes)
     words = [line_reduction(e)[0] for e in classes]
-    d = classes[0].t
-    cands = [candidate_pairs(d, max(e.m)) for e in classes]
+    cands = [candidate_pairs(e.t, max(e.m)) for e in classes]
     results = [[None] * trials for _ in classes]
-    rejected = [[Counter() for _ in range(trials)] for _ in classes]
+    rejected = defaultdict(Counter)
     for attempt in range(RETRY_CAP):
-        todo = [(c, [i for i, r in enumerate(res) if r is None]) for c, res in enumerate(results)]
-        todo = [(c, left) for c, left in todo if left]
+        todo = [(c, i) for c, res in enumerate(results) for i, r in enumerate(res) if r is None]
         if not todo:
             break
-        jobs = [
-            (words[c], classes[c].n, cands[c], [derive_seed(seed, i, attempt) for i in left])
-            for c, left in todo
-        ]
-        for (c, left), outcomes in zip(todo, _draw(jobs, d, p)):
-            for i, got in zip(left, outcomes):
-                if isinstance(got, str):
-                    rejected[c][i][got] += 1
-                else:
-                    results[c][i] = got
-    for e, res, rej in zip(classes, results, rejected):
-        for r, counts in zip(res, rej):
+        draws = [(classes[c], words[c], cands[c], derive_seed(seed, i, attempt)) for c, i in todo]
+        for (c, i), got in zip(todo, _draw(draws, p)):
+            if isinstance(got, str):
+                rejected[c, i][got] += 1
+            else:
+                results[c][i] = got
+    for c, res in enumerate(results):
+        for i, r in enumerate(res):
             if r is None:
-                reasons = "; ".join(f"{reason}: {k}" for reason, k in counts.most_common())
+                reasons = "; ".join(f"{reason}: {k}" for reason, k in rejected[c, i].most_common())
                 raise InfeasibleError(
-                    f"no nondegenerate configuration in {RETRY_CAP} attempts for {e} over F_{p} ({reasons})"
+                    f"no nondegenerate configuration in {RETRY_CAP} attempts for {classes[c]} over F_{p} ({reasons})"
                 )
     return [Counter(res).most_common(1)[0][0] for res in results]
 

@@ -319,6 +319,9 @@ GOLDEN_REPORTS = [
     ('resolution --mults 48,33x3,32x3,24,16', 0, "fd6f4942e06422890b2053fed8070fbfd891e7939b7683a63df95e66f82a2101"),
     ('resolution --mults 3,3,2,1,1', 0, "5afc7543c90d8656553d3117c3f6e09c56b308121b0b136413f7108abb959201"),
     ('resolution --mults 50,50,38,38,26,26,22,18,14,14 --format tsv', 0, "83d142d55553164e494c5952a96d5a91a0da76b56b9e2f2a65ee4c3e9745b6bc"),
+    # An interval cell (lo..hi) and an unknown cell (?).
+    ('resolution --mults 30,28,20,18,18,14,11,9,5,4,2 --format tsv', 0, "cf1bdd8bb2fea1608404824af4dc5642de2f772fb14ab9b41e0dc6ae9fbb8db8"),
+    ('resolution --mults 30,20,19,18,12,5 --format tsv', 0, "9071fc075bc0b4905860d514d9e7de5c68b1c16c81a3ff59dce020b54185efff"),
     ('reduce --class 209;77,77,77,77,77,77,77,44,11,11,11', 0, "2e67846b2d98da24e90edfba185763c239710fbe5a48569d4d5361b493d2fae4"),
     ('decompose --class 3;2,2,-2', 0, "54713c39fe905b602ca119b61e0f5f7c3160a62e67bbfd88cc388c0ba6dd3514"),
     ('split --class 13;5,5,5,5,5,5,4,1,1,1,1 --prime 1009 --seed 7', 0, "ed6ad48ce45b54ece8ab1d55f9741e4a96c24882fab05d6202dbd7ff5f3ebfbf"),

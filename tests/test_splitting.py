@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fatpt import _kernels, exactla, splitting
 from fatpt.cokernel import cok_dimension
-from fatpt.errors import DegenerateConfiguration, InputError
+from fatpt.errors import DegenerateConfiguration, InfeasibleError, InputError
 from fatpt.lattice import DivisorClass, intersect, line_class, parse_class
 from fatpt.splitting import (
     DEFAULT_SEED,
@@ -284,8 +284,9 @@ def _draws(e, p, seeds):
     """One draw of e per seed by the stacked route of ``compute_splitting``
     (``_draw`` with the word and the types it hands over): the type, or
     "degenerate"."""
-    job = (line_reduction(e)[0], e.n, candidate_pairs(e.t, max(e.m)), list(seeds))
-    return [got if isinstance(got, SplittingType) else "degenerate" for got in _draw([job], e.t, p)[0]]
+    word, cands = line_reduction(e)[0], candidate_pairs(e.t, max(e.m))
+    draws = [(e, word, cands, s) for s in seeds]
+    return [got if isinstance(got, SplittingType) else "degenerate" for got in _draw(draws, p)]
 
 
 def _outcome(fn, *args):
@@ -453,6 +454,23 @@ def test_compute_splittings_matches_one_class_at_a_time(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(splitting, "compute_splittings", None)  # a draw would fail
             assert [splitting_type(e, p, 5, 3) for e in classes] == [(st, True) for st in together]
+
+
+def test_compute_splittings_names_the_first_infeasible_class():
+    # At p = 29 both classes run out of attempts. One attempt loop spans both
+    # degrees, and the error names the first class in the given order, the
+    # higher degree here, with that class's rejections counted by reason.
+    high, low = parse_class("13;5,5,5,5,5,5,4,1,1,1,1"), parse_class("8;3,3,3,3,3,3,3,1,1")
+    expected = (
+        "no nondegenerate configuration in 10 attempts for 13;5,5,5,5,5,5,4,1,1,1,1 over F_29 "
+        "(point collides with a Cremona center: 8; fewer than 27 parameters of F_29 avoid the base points: 1; "
+        "collinear Cremona centers: 1)"
+    )
+    with pytest.raises(InfeasibleError) as both:
+        compute_splittings([high, low], 29, 1, 3)
+    assert str(both.value) == expected
+    with pytest.raises(InfeasibleError, match=f"for {low} over F_29"):
+        compute_splittings([low, high], 29, 1, 3)
 
 
 def test_compute_splitting_rejects_composite_prime():
@@ -638,22 +656,24 @@ def test_lockstep_replay_matches_each_class_alone(p):
 
 
 def test_draw_straddles_a_chunk_boundary(monkeypatch):
-    # More draws than one chunk holds, and chunks that split a class's
-    # seeds: every class gets the outcomes it gets drawn alone.
+    # More draws than one chunk holds, chunks that split a class's seeds,
+    # and a run of another degree between two runs of one: every draw gets
+    # the outcome it gets drawn alone.
     d, p = 16, 1009
     classes = [e for e in _RANDOMIZED_CLASSES if e.t == d]
-    jobs = [
-        (line_reduction(e)[0], e.n, candidate_pairs(d, max(e.m)), [derive_seed(5, c, s) for s in range(10)])
+    classes.insert(len(classes) // 2, next(e for e in _RANDOMIZED_CLASSES if e.t == d - 1))
+    draws = [
+        (e, line_reduction(e)[0], candidate_pairs(e.t, max(e.m)), derive_seed(5, c, s))
         for c, e in enumerate(classes)
+        for s in range(10)
     ]
-    assert sum(len(job[3]) for job in jobs) > splitting._CHUNK
-    alone = [_draw([job], d, p)[0] for job in jobs]
-    assert _draw(jobs, d, p) == alone
+    assert len(draws) > splitting._CHUNK
+    alone = [got for draw in draws for got in _draw([draw], p)]
+    assert _draw(draws, p) == alone
     monkeypatch.setattr(splitting, "_CHUNK", 7)
-    assert _draw(jobs, d, p) == alone
-    outcomes = [got for res in alone for got in res]
-    assert any(isinstance(got, str) for got in outcomes)
-    assert sum(isinstance(got, SplittingType) for got in outcomes) > len(outcomes) // 2
+    assert _draw(draws, p) == alone
+    assert any(isinstance(got, str) for got in alone)
+    assert sum(isinstance(got, SplittingType) for got in alone) > len(alone) // 2
 
 
 def test_inverse_3x3_stack_at_largest_prime():
