@@ -13,6 +13,12 @@ back-substitution, one vector per free column. The pivot rule is
 deterministic (first nonzero entry in column order, scanning rows top-down),
 so ranks, pivot columns and nullspace bases are reproducible bit for bit.
 
+``_forward``'s ``stop`` limits the pivot search to the columns before it, so
+a caller can eliminate a matrix one column block at a time: the rows past
+the rank are zero on those columns, and what they hold from ``stop`` on is
+the Schur complement of the block, which the next block's elimination
+continues from (``cokernel._product_rank``).
+
 Entries are int64, and reduction mod p is delayed (the delayed reduction of
 FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). Each pivot step
 reduces only the pivot column, which the pivot search reads, and the pivot
@@ -54,12 +60,17 @@ def _update(a: np.ndarray, r: int, idx: np.ndarray, c: int, prow: np.ndarray) ->
         a[idx, c:] -= a[idx, c, None] * prow
 
 
-def _forward(a: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+def _forward(a: np.ndarray, p: int, stop: int | None = None) -> tuple[int, np.ndarray]:
     """Reduce ``a`` in place to row echelon form mod p: each pivot is 1 and
     the entries below it are 0; rows above a pivot keep their entries in its
     column. Every entry ends in [0, p). Returns (rank, pivot column indices).
-    ``a`` must be int64, 2d, C-contiguous, with entries already in [0, p)."""
+    ``a`` must be int64, 2d, C-contiguous, with entries already in [0, p).
+    With ``stop``, pivots are searched only in the columns before it: the
+    rows past the rank are then zero there, and the columns from ``stop`` on
+    carry the updates of those pivots."""
     nrows, cols = a.shape
+    if stop is not None:
+        cols = min(cols, stop)
     cap = _cap(p)
     pivots = np.empty(min(nrows, cols), dtype=np.int64)
     r = k = 0

@@ -26,6 +26,7 @@ Two independent routes:
   there, so the frame loses no generality, and a base point at a vertex
   costs no rows: its conditions kill monomials outright (``h0_basis``), and
   the nullspace runs on the other points' rows over the surviving columns.
+  The product-matrix rank stops early (below).
 
 * oracle path (``method="oracle"``): build the fat point scheme of L + mE
   at independent random points, multiply its degree-t forms by x, y, z and
@@ -38,6 +39,23 @@ draw whose cokernel exceeds the prediction, up to RETRY_CAP draws in all.
 The smallest value seen is the result, so a persistent excess is reported,
 never hidden. The ``ceiling`` test counts all C(t'+2, 2) columns of degree
 t', killed or not.
+
+The product-matrix rank is taken level by level and stops at the first full
+level (``_product_rank``). Dehomogenize at E's point, so c = 1 and
+m = (a, b). The H0(L') forms f_s lie in m^d; let V be the span of the
+products f_s g modulo m^(2d), g running over the multipliers of a+b degree
+d-m to d-1. The rows are those products, so the rank is dim V. V is closed
+under multiplication by a and b: a multiplier of degree at most d-2 times a
+or b is another multiplier, and one of degree d-1 times a or b lands in
+m^(2d), which is 0 here. Multiplier level k reaches only window levels d+k
+and up, so eliminating level by level, the pivots of window level j come
+from the multiplier levels up to j-d. If they cover all j+1 columns of that
+level, then m^j lies in V + m^(j+1); multiplying by a and b and going up to
+m^(2d) gives m^j in V, so every later level is full as well, and the rank is
+the pivots found so far plus the window columns past level j. The rows of
+the levels past that one are never built. For the leading forms the full
+levels start at multiplier degree b-1, so about b-a of the m levels are
+eliminated. The oracle route keeps ``_kernels.rank`` of a whole matrix.
 """
 
 from __future__ import annotations
@@ -277,6 +295,7 @@ def _formula_cokernel(
         )
     window = 2 * d * m - binom2(m)
     frame = _frame_slots(mu)
+    low = monomial_exponents(tp)[:, :2].sum(axis=1) < d
 
     rng_master = derive_seed(seed, 31)
     best: int | None = None
@@ -290,7 +309,10 @@ def _formula_cokernel(
                 f"special configuration: h0 = {basis.shape[0]} != 3"
             )
             continue
-        value = window - _kernels.rank(_product_matrix(basis, tp, d, m), p)
+        if basis[:, low].any():
+            raise AssertionError(f"H0(L') basis has terms of order below {d} at E's point")
+        prank, levels = _product_rank(basis, tp, d, m, p)
+        value = window - prank
         best = value if best is None else min(best, value)
         if value <= predicted:
             break
@@ -301,30 +323,47 @@ def _formula_cokernel(
         "matrix": (nrows, ncols),
         "window": window,
         "attempt": attempt,
+        "levels": levels,
     }
 
 
-def _product_matrix(basis: np.ndarray, tp: int, d: int, m: int) -> np.ndarray:
-    """Rows: each H0(L') basis form times each degree-(d-1) monomial
-    a^pg b^qg c^rg with pg+qg >= d-m, projected to coefficients of monomials
-    of a+b degree in [2d-m, 2d-1] (the quotient past the ideal power at the
-    second base point). Columns and multipliers both run by a+b degree, so
-    the rows form a staircase, one level per multiplier degree."""
+def _product_matrix(basis: np.ndarray, tp: int, d: int, k: int) -> np.ndarray:
+    """Level k of the product matrix: each H0(L') basis form times each
+    degree-(d-1) multiplier a^i b^(k-i) c^(d-1-k), one block of rows per
+    multiplier (i ascending), one row per form. The columns are the window
+    monomials a^wa b^wb of a+b degree d+k to 2d-1 (a+b degree ascending, then
+    wa); the window columns before them read only terms of order below d at
+    E's point, which forms in m^d lack."""
     wa, wb = np.array(
-        [(a, s - a) for s in range(2 * d - m, 2 * d) for a in range(s + 1)], dtype=np.int64
-    ).reshape(-1, 2).T
-    pg, qg = np.array(
-        [(i, s - i) for s in range(d - m, d) for i in range(s + 1)], dtype=np.int64
-    ).reshape(-1, 2).T
-    fa = wa - pg[:, None]
-    fb = wb - qg[:, None]
+        [(a, s - a) for s in range(d + k, 2 * d) for a in range(s + 1)], dtype=np.int64
+    ).T
+    i = np.arange(k + 1)[:, None]
+    fa = wa - i
+    fb = wb - (k - i)
     ok = (fa >= 0) & (fb >= 0) & (fa + fb <= tp)
     # A window monomial that no basis monomial reaches reads the zero column
     # appended past the last one.
     srcc = np.where(ok, monomial_index(tp, fa, fb), basis.shape[1])
     padded = np.pad(basis, ((0, 0), (0, 1)))
-    # One block of rows per multiplier monomial, one row per basis form.
-    return padded[np.arange(3)[:, None], srcc[:, None, :]].reshape(-1, wa.size)
+    return padded[np.arange(basis.shape[0])[:, None], srcc[:, None, :]].reshape(-1, wa.size)
+
+
+def _product_rank(basis: np.ndarray, tp: int, d: int, m: int, p: int) -> tuple[int, int]:
+    """Rank mod p of the product matrix of forms in m^d (entries in [0, p)),
+    and the number of its m levels eliminated: level by level, stopping at
+    the first full one (see the module docstring)."""
+    rank = 0
+    carry = None
+    for level, k in enumerate(range(d - m, d), 1):
+        rows = _product_matrix(basis, tp, d, k)
+        work = rows if carry is None else np.concatenate((carry, rows))
+        width = d + k + 1
+        r, _ = _kernels._forward(work, p, width)
+        rank += r
+        if r == width:
+            return rank + work.shape[1] - width, level
+        carry = work[r:, width:]
+    return rank, m
 
 
 def cok_dimension(

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatpt.errors import InfeasibleError, InputError
 from fatpt.lattice import DivisorClass, intersect, line_class, parse_class, point_class
 from fatpt import cokernel
-from fatpt._kernels import nullspace, rank
+from fatpt._kernels import _forward, nullspace, rank
 from fatpt.cokernel import (
     DEFAULT_COLUMN_CEILING,
     cok_dimension,
@@ -145,6 +147,24 @@ def _reference_product_rows(basis, tp, d, m):
     return rows
 
 
+def _full_product_matrix(basis, tp, d, m):
+    """The whole product matrix from its levels: each level's rows padded
+    with zeros on the window columns before its own."""
+    window = 2 * d * m - m * (m - 1) // 2
+    levels = [cokernel._product_matrix(basis, tp, d, k) for k in range(d - m, d)]
+    return np.concatenate([np.pad(rows, ((0, 0), (window - rows.shape[1], 0))) for rows in levels])
+
+
+def _forms(rng, p, tp, order, count=3, density=1.0):
+    """``count`` random degree-tp forms vanishing to ``order`` at (0, 0, 1),
+    with about ``density`` of their other coefficients nonzero."""
+    i, j, _ = monomial_exponents(tp).T
+    forms = rng.integers(0, p, size=(count, i.size), dtype=np.int64)
+    forms[:, i + j < order] = 0
+    forms[rng.random(forms.shape) >= density] = 0
+    return forms
+
+
 @pytest.mark.parametrize(
     "tp, d, m, staircase, seed",
     [
@@ -157,18 +177,112 @@ def _reference_product_rows(basis, tp, d, m):
     ],
 )
 def test_product_matrix_rows_are_a_permutation(tp, d, m, staircase, seed):
-    # Random forms, or forms vanishing to order d at (0, 0, 1) as the H0(L')
-    # basis does, so that the rows form the level staircase.
+    # Forms vanishing to order d at (0, 0, 1), as the H0(L') basis does, or
+    # random forms. Each level's rows are the reference rows of its
+    # multipliers on the window columns from its own level on; the columns
+    # before are zero for forms in m^d, and are not built.
     p = 31991
-    rng = np.random.default_rng(seed)
-    basis = rng.integers(0, p, size=(3, (tp + 1) * (tp + 2) // 2), dtype=np.int64)
-    if staircase:
-        i, j, _ = monomial_exponents(tp).T
-        basis[:, i + j < d] = 0
-    mat = cokernel._product_matrix(basis, tp, d, m)
-    ref = _reference_product_rows(basis, tp, d, m)
+    basis = _forms(np.random.default_rng(seed), p, tp, d if staircase else 0)
+    ref = []
+    for row, (i, j) in zip(
+        _reference_product_rows(basis, tp, d, m),
+        [(i, j) for i in range(d) for j in range(d - i) if i + j >= d - m for _ in range(3)],
+    ):
+        # Window columns of a+b degree below d+i+j: those of degrees 2d-m
+        # to d+i+j-1.
+        skip = sum(s + 1 for s in range(2 * d - m, d + i + j))
+        assert not staircase or not any(row[:skip])
+        ref.append([0] * skip + row[skip:])
+    mat = _full_product_matrix(basis, tp, d, m)
     assert sorted(mat.tolist()) == sorted(ref)
     assert rank(mat, p) == rank(np.array(ref, dtype=np.int64), p)
+
+
+@st.composite
+def _product_cases(draw):
+    """(basis, tp, d, m, p): forms in m^d, some zero, repeated, sparse or
+    vanishing to a higher order."""
+    p = draw(st.sampled_from([101, 31991, 2**31 - 1]))
+    d = draw(st.integers(1, 9))
+    m = draw(st.integers(1, d))
+    tp = draw(st.integers(d, 2 * d + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "sparse", "zero", "repeat", "higher"]))
+        if kind == "repeat" and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))] * draw(st.integers(1, p - 1)) % p)
+            continue
+        order = d + draw(st.integers(1, d)) if kind == "higher" else d
+        density = {"sparse": 0.1, "zero": 0.0}.get(kind, 1.0)
+        rows.append(_forms(rng, p, tp, order, 1, density)[0])
+    return np.array(rows), tp, d, m, p
+
+
+def _full_level_walk(basis, tp, d, m, p):
+    """(rank, levels, full): the rank of the whole product matrix, the
+    number of levels up to and including the first whose window columns are
+    all pivots (m if none is), and whether one is. The pivot columns of an
+    echelon form depend only on the row space, so the whole matrix's are the
+    walk's."""
+    _, pivots = _forward(_full_product_matrix(basis, tp, d, m), p)
+    starts = np.cumsum([0] + [s + 1 for s in range(2 * d - m, 2 * d)])
+    counts = np.histogram(pivots, bins=starts)[0]
+    full = np.flatnonzero(counts == np.diff(starts))
+    return pivots.size, int(full[0]) + 1 if full.size else m, bool(full.size)
+
+
+@given(_product_cases())
+@settings(max_examples=200)
+def test_level_walk_rank_matches_full_rank(case):
+    basis, tp, d, m, p = case
+    rank_, levels, _ = _full_level_walk(basis, tp, d, m, p)
+    assert cokernel._product_rank(basis, tp, d, m, p) == (rank_, levels)
+
+
+@pytest.mark.parametrize(
+    "tp, d, m, p, order, edit, levels",
+    [
+        (14, 7, 7, 31991, 7, None, 4),  # m = d
+        (14, 7, 1, 31991, 7, None, 1),  # m = 1: one level, full
+        (14, 7, 5, 101, 7, "zero", 5),  # one zero form
+        (14, 7, 5, 2**31 - 1, 7, "equal", 5),  # two equal forms
+        (14, 7, 5, 31991, 8, None, 3),  # forms in m^(d+1): a later level is full
+        (14, 7, 5, 31991, 10, None, None),  # forms in m^(d+3): no level is full
+        (20, 10, 10, 31991, 14, None, None),
+    ],
+)
+def test_level_walk_edge_cases(tp, d, m, p, order, edit, levels):
+    basis = _forms(np.random.default_rng(tp + d + m), p, tp, order)
+    if edit == "zero":
+        basis[1] = 0
+    elif edit == "equal":
+        basis[2] = basis[0]
+    rank_, levels_, full = _full_level_walk(basis, tp, d, m, p)
+    assert rank_ > 0 and full == (levels is not None) and levels_ == (levels or m)
+    assert cokernel._product_rank(basis, tp, d, m, p) == (rank_, levels_)
+
+
+@pytest.mark.extended
+def test_level_walk_on_every_degree_25_product_matrix(monkeypatch, capsys):
+    # Every product matrix that sweep --max-degree 25 --verify ranks: the
+    # walk's rank and stop level against the whole matrix's forward pass.
+    from fatpt.cli import run
+
+    seen = []
+    walk = cokernel._product_rank
+
+    def capture(basis, tp, d, m, p):
+        seen.append(((basis, tp, d, m, p), walk(basis, tp, d, m, p)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cokernel, "_product_rank", capture)
+    assert run(["sweep", "--max-degree", "25", "--verify"]) == 0
+    capsys.readouterr()
+    assert len(seen) >= 182
+    for args, got in seen:
+        assert got[0] == rank(_full_product_matrix(*args[:4]), args[4])
+        assert got == _full_level_walk(*args)[:2]
 
 
 VERTICES = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
@@ -253,6 +367,34 @@ def test_persistent_excess_reports_the_smallest_draw():
     computed, info = cokernel._formula_cokernel(e, word, 2, 101, 11, DEFAULT_COLUMN_CEILING, -1)
     assert info["attempt"] == RETRY_CAP - 1
     assert computed == 0
+
+
+def test_basis_outside_m_d_is_refused(monkeypatch):
+    # The level walk is exact only for forms in m^d at E's point; a basis
+    # with a term of order d-1 there must stop the check, not be ranked.
+    build = cokernel.h0_basis
+
+    def spoil(pts, tp, mu, p):
+        basis = build(pts, tp, mu, p)
+        basis[0, monomial_index(tp, 0, mu[0] - 1)] = 1
+        return basis
+
+    monkeypatch.setattr(cokernel, "h0_basis", spoil)
+    with pytest.raises(AssertionError, match="terms of order below 3 at E's point"):
+        cokernel._formula_cokernel(CUBIC, reduction_to_point(CUBIC), 2, 31991, 11, DEFAULT_COLUMN_CEILING, 0)
+
+
+def test_formula_info_counts_the_levels_eliminated(monkeypatch):
+    # The escape 13;5^6,4,1^4 of type (5, 8) at m = 8: the first full level
+    # is multiplier degree b - 1 = 7, so 3 of the 8 levels are eliminated.
+    e = parse_class("13;5,5,5,5,5,5,4,1,1,1,1")
+    bases = []
+    build = cokernel.h0_basis
+    monkeypatch.setattr(cokernel, "h0_basis", lambda *args: bases.append(build(*args)) or bases[-1])
+    computed, info = cokernel._formula_cokernel(e, reduction_to_point(e), 8, 31991, 1, DEFAULT_COLUMN_CEILING, 3)
+    assert computed == 3 and info["attempt"] == 0 and len(bases) == 1
+    assert info["levels"] == 3
+    assert _full_level_walk(bases[0], info["transported_degree"], 13, 8, 31991)[1:] == (3, True)
 
 
 def test_reduction_to_point():

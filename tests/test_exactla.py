@@ -213,6 +213,38 @@ def test_rref_and_nullspace_match_reference(case):
     assert a.tolist() == rows
 
 
+@given(_rank_deficient_matrices(), st.integers(0, 9))
+@example((31991, [], 0), 0)
+@example((101, [[], [], []], 0), 3)
+@example(_low_rank(2**31 - 1, 40, 40, 40, 5), 17)  # a reduction every second update
+@example(_low_rank(31991, 60, 50, 7, 8), 4)  # the rank is reached before stop
+@example(_banded(31991, 3, 12, 30, 9), 13)  # product-matrix shaped
+@example(_banded(2**31 - 1, 3, 12, 30, 10), 20)
+@example(_solve_worst_case(CAP_PRIMES[40], 40), 39)
+@settings(max_examples=200)
+def test_forward_stops_the_pivot_search(case, stop):
+    p, rows, ncols = case
+    a = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    ref_rank, ref_pivots, _ = _reference_rref(rows, ncols, p)
+
+    work = a.copy()
+    rank, pivots = _kernels._forward(work, p, stop)
+    assert pivots.tolist() == [c for c in ref_pivots if c < stop]
+    assert rank == pivots.size
+    assert not work[rank:, :stop].any()
+    assert ((0 <= work) & (work < p)).all()
+    # The rows past the rank carry the rest of the elimination: their
+    # columns from stop on hold the pivots the full pass finds there.
+    assert _kernels.rank(work[rank:, stop:], p) == ref_rank - rank
+
+    # A stop past the last column, or none, is the full pass bit for bit.
+    full = a.copy()
+    full_pivots = _kernels._forward(full, p)[1]
+    past = a.copy()
+    assert _kernels._forward(past, p, ncols + stop)[1].tolist() == full_pivots.tolist()
+    assert past.tolist() == full.tolist()
+
+
 # Forms are plain coefficient lists, as in test_splitting's form route: the
 # list [c_0, ..., c_d] is sum_i c_i u^i v^(d-i).
 
