@@ -47,14 +47,14 @@ from .splitting import (
     DEFAULT_SEED,
     SplitPrediction,
     SplittingType,
-    compute_splitting,
+    compute_splittings,
     defect_sum,
     draw_points,
     forced_type,
     predict_report,
     predict_splitting,
     split_bounds,
-    splitting_of,
+    splittings_of,
 )
 from .cokernel import (
     DEFAULT_COLUMN_CEILING,
@@ -63,6 +63,7 @@ from .cokernel import (
     fat_point_matrix,
     mu_rank_oracle,
     predicted_cokernel,
+    proven_case,
 )
 from .betti import (
     AlphaOneResult,

@@ -32,12 +32,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .cokernel import predicted_cokernel
+from .cokernel import predicted_cokernel, proven_case
 from .errors import InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME
 from .lattice import DivisorClass, FatPointScheme, binom2, class_of, intersect, line_class, point_class
 from .linsys import alpha_degree, decompose, expected_h0, expected_h1, fixed_part, pull_back
-from .splitting import DEFAULT_SEED, SplittingType, splitting_of
+from .splitting import DEFAULT_SEED, SplittingType, splittings_of
 from .weyl import is_exceptional, reduce
 
 EXACT = "Exact"
@@ -85,35 +85,28 @@ def line_presentation(z: FatPointScheme):
     return h, tuple(comps)
 
 
-def _component_conjectural(k: int, st: SplittingType, d: int, m_max: int) -> bool:
-    """Whether pricing a k-fold component of degree d and type (a, b) leaves
-    the proven range: small twists (k <= a+2), near-balanced types
-    (b - a <= 2) and the a = d - m_max family are all unconditional."""
-    return k > st.a + 2 and st.b - st.a > 2 and st.a != d - m_max
-
-
 def _price_components(comps, base: DivisorClass, p: int, seed):
     """Price fixed components (C_j, c_j) through their splitting types.
 
     Clips each exponent at k_j = min(c_j, L.C_j) and returns (total, clipped,
     info, provisional, flag): total = sum_j binom2(k_j - a_j) + binom2(k_j - b_j),
     clipped = base + sum_j k_j C_j, info the (C_j, c_j, k_j, type) rows, and
-    flag CONJECTURAL when some component leaves the proven range.
+    flag CONJECTURAL when some component leaves the proven range
+    (``proven_case``). The types come from one request for all components.
     """
     total = 0
     clipped = base
     info = []
     prov = []
     conjectural = False
-    for cls, c in comps:
-        st, provisional = splitting_of(cls, p, seed)
+    for (cls, c), (st, provisional) in zip(comps, splittings_of([cls for cls, _ in comps], p, seed)):
         k = min(c, cls.t)
         total += predicted_cokernel(k, st)
         clipped = clipped + k * cls
         info.append((cls, c, k, st))
         if provisional:
             prov.append(cls)
-        if _component_conjectural(k, st, cls.t, max(cls.m)):
+        if not proven_case(cls, k, st):
             conjectural = True
     return total, clipped, tuple(info), tuple(prov), CONJECTURAL if conjectural else EXACT
 
@@ -277,12 +270,11 @@ def bettibound_data(
         raise InfeasibleError(f"fixed components appear from nowhere at degree {t} for {z}")
 
     comps = []
-    for cls, c in prev:
+    for (cls, c), (st, provisional) in zip(prev, splittings_of([cls for cls, _ in prev], p, seed)):
         d = cls.t
         c1 = cur.get(cls, 0)
         c2 = nxt.get(cls, 0)
         assert c >= c1 >= c2 >= 0 and c - c1 <= d, "fixed exponents out of range"
-        st, provisional = splitting_of(cls, p, seed)
         comps.append(BoundComponent(cls, d, c, c1, c2, st, provisional))
     return BettiBoundData(z, t, tuple(comps))
 

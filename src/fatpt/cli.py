@@ -31,7 +31,7 @@ import os
 import sys
 
 from .betti import assemble_resolution
-from .cokernel import DEFAULT_COLUMN_CEILING, cok_dimension
+from .cokernel import DEFAULT_COLUMN_CEILING, cok_dimension, proven_case
 from .errors import ConjectureViolation, InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME, check_prime
 from .lattice import format_class, format_mults, parse_class, parse_mults
@@ -42,7 +42,6 @@ from .splitting import (
     forced_type,
     predict_report,
     split_bounds,
-    splitting_of,
     splittings_of,
 )
 from .weyl import enumerate_exceptional, format_word
@@ -226,7 +225,7 @@ def _cmd_decompose(args):
 def _cmd_split(args):
     e = parse_class(args.cls)
     bounds = split_bounds(e)
-    st, provisional = splitting_of(e, args.prime, args.seed, args.trials)
+    (st, provisional), = splittings_of([e], args.prime, args.seed, args.trials)
     report = _base_report(args, conjectural=False, provisional=(e,) if provisional else ())
     report.update(
         {
@@ -355,12 +354,11 @@ def _cmd_sweep(args):
     escapes = []
     provisional = []
     for e, (st, prov) in zip(classes, classified):
-        # Forced and near-balanced types are covered by the proven
-        # multiplication-rank cases; the rest escape.
+        # A class whose cokernel at m = b is outside the proven cases escapes.
         if prov:
             provisional.append(e)
-            if st.b - st.a > 2:
-                escapes.append((e, st))
+        if not proven_case(e, st.b, st):
+            escapes.append((e, st))
     rows = [
         {"class": format_class(e), "degree": e.t, "a": st.a, "b": st.b}
         for e, st in escapes

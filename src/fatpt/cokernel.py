@@ -7,8 +7,12 @@ sections of L, mapped into L + mE + L) has
     dim coker mu <= binom2(m - b) + binom2(m - a),
 
 with equality proved for m <= a+2, for b - a <= 2, and for a = d - max mult,
-and equality conjectured always. This module computes the left side exactly
-for explicit points over F_p and compares.
+and equality conjectured always; ``proven_case`` is that rule, the one
+place it is decided. A forced type (``splitting.forced_type``) is always
+proven: it has a = d - max mult or b - a <= 1. A type that is not forced has
+max mult < d/2, so a <= d/2 < d - max mult, and at m = b the first case is
+the second. This module computes the left side exactly for explicit points
+over F_p and compares.
 
 Two independent routes:
 
@@ -65,11 +69,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateConfiguration, InfeasibleError, InputError
+from .errors import InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME, check_prime
 from .lattice import DivisorClass, FatPointScheme, binom2, line_class, point_class
 from .linsys import expected_h0
-from .splitting import DEFAULT_SEED, RETRY_CAP, SplittingType, derive_seed, draw_points, splitting_of
+from .splitting import DEFAULT_SEED, RETRY_CAP, SplittingType, derive_seed, draw_points, splittings_of
 from .weyl import apply_word, reduction_to_point
 
 DEFAULT_COLUMN_CEILING = 16000
@@ -255,6 +259,12 @@ def predicted_cokernel(m: int, st: SplittingType) -> int:
     return binom2(m - st.b) + binom2(m - st.a)
 
 
+def proven_case(e: DivisorClass, m: int, st: SplittingType) -> bool:
+    """Whether ``predicted_cokernel(m, st)`` is proven exact for the class e
+    of type st: m <= a+2, b - a <= 2, or a = d - max mult."""
+    return m <= st.a + 2 or st.b - st.a <= 2 or st.a == e.t - max(e.m)
+
+
 def _check_prime_above_degree(p: int, degree: int) -> None:
     """At p <= degree the falling factorials in ``fat_point_matrix``'s
     partials can vanish mod p, and its rows stop being fat point conditions."""
@@ -299,15 +309,13 @@ def _formula_cokernel(
 
     rng_master = derive_seed(seed, 31)
     best: int | None = None
-    last_err: Exception | None = None
+    last_err: str | None = None
     for attempt in range(RETRY_CAP):
         pts = draw_points(n, p, derive_seed(rng_master, attempt))
         pts[frame] = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
         basis = h0_basis(pts, tp, mu, p)
         if basis.shape[0] != 3:
-            last_err = DegenerateConfiguration(
-                f"special configuration: h0 = {basis.shape[0]} != 3"
-            )
+            last_err = f"special configuration: h0 = {basis.shape[0]} != 3"
             continue
         if basis[:, low].any():
             raise AssertionError(f"H0(L') basis has terms of order below {d} at E's point")
@@ -387,7 +395,7 @@ def cok_dimension(
         raise InputError(f"m must satisfy 0 <= m <= degree {d}, got {m}")
     if method not in ("formula", "oracle"):
         raise InputError(f"unknown method {method!r}")
-    st, provisional = splitting_of(e, p, seed, trials)
+    (st, provisional), = splittings_of([e], p, seed, trials)
     predicted = predicted_cokernel(m, st)
     if m == 0:
         computed = 0

@@ -23,5 +23,7 @@ class ConjectureViolation(AssertionError):
 
 
 class DegenerateConfiguration(RuntimeError):
-    """Internal: a random point draw hit a degenerate position (collinear
-    centers, vanishing form, ...). Callers retry with a fresh derived seed."""
+    """A point configuration is in special position for a syzygy count:
+    ``exactla.min_syzygy_degree`` raises it, with the reason, when the
+    syzygy nullities read off the points fit no curve of the given degree.
+    Nothing in the package catches it."""

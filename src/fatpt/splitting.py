@@ -33,13 +33,11 @@ every trial sees the draws, and casts the vote, it would alone.
 
 ``splitting_types`` is the single place that decides between the two: the
 closed form when the degree forces the type, else ``compute_splittings``
-(marked provisional), with the classes that need draws drawn together.
-``splitting_type`` is its one-class case. It is memoized per (class, prime,
-seed, trials); the command line clears the memo at the start of every
-request, and ``sweep`` fills it for all of its classes at once, so the
-cokernel verification that follows reads it. ``splittings_of`` and
-``splitting_of`` are the same decision under the seed rule shared by the
-commands and the cokernel and Betti layers.
+(marked provisional), with the classes that need draws drawn together. It
+takes a list, one class being a list of one, and is memoized per (class,
+prime, seed, trials); the command line clears the memo at the start of
+every request. ``splittings_of`` is the same decision under the seed rule
+shared by the commands and the cokernel and Betti layers.
 
 ``predict_splitting`` is the deterministic conjecture: among the allowed
 (a, b) it returns the most balanced pair whose genus-like score
@@ -86,9 +84,6 @@ class SplittingType:
     @property
     def degree(self) -> int:
         return self.a + self.b
-
-    def __iter__(self):
-        return iter((self.a, self.b))
 
     def __str__(self):
         return f"({self.a},{self.b})"
@@ -333,17 +328,22 @@ def _draw(draws, p: int) -> list:
 def compute_splittings(
     classes, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED, trials: int = 3
 ) -> list[SplittingType]:
-    """Splitting type of the plane image of each class over F_p, majority
-    over ``trials`` independent configurations.
+    """Splitting type of the plane image of each class over F_p, voted over
+    ``trials`` independent configurations.
 
     Trial i of a class draws under derive_seed(seed, i, attempt) for
     attempt 0, 1, ...: a degenerate draw is drawn again under the next
     attempt, up to ``RETRY_CAP``. Each class is reduced once, and every draw
     reads that word. Each attempt is one ``_draw`` over the open trials of
     every class, which stacks the draws of consecutive classes of one
-    degree. The votes are counted in trial order. If some trial runs out of
-    attempts, InfeasibleError names the first such class in the given
-    order, with that trial's rejections counted by reason.
+    degree. If some trial runs out of attempts, InfeasibleError names the
+    first such class in the given order, with that trial's rejections
+    counted by reason.
+
+    The vote goes by semicontinuity: a syzygy dimension can only rise in
+    special position, so a special draw can only lower a, and the accepted
+    type with the largest a is the generic one whenever some draw is
+    generic. A majority could pick a special type instead.
     """
     if trials < 1:
         raise InputError(f"trials {trials}: the vote needs at least one trial")
@@ -370,14 +370,7 @@ def compute_splittings(
                 raise InfeasibleError(
                     f"no nondegenerate configuration in {RETRY_CAP} attempts for {classes[c]} over F_{p} ({reasons})"
                 )
-    return [Counter(res).most_common(1)[0][0] for res in results]
-
-
-def compute_splitting(
-    e: DivisorClass, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED, trials: int = 3
-) -> SplittingType:
-    """``compute_splittings`` of one class."""
-    return compute_splittings([e], p, seed, trials)[0]
+    return [max(res, key=lambda st: st.a) for res in results]
 
 
 # (type, provisional) by (class, prime, seed, trials). The command line
@@ -393,7 +386,8 @@ def splitting_types(classes, p: int, seed, trials: int = 3) -> list[tuple[Splitt
     """(type, provisional) of each class: the closed form when the degree
     forces the type, else ``compute_splittings`` with this exact seed
     (marked provisional), memoized. The classes that need a draw are drawn
-    together, in the given order."""
+    together, in the given order; a class's draws depend on its own seed
+    only, so the types are those the classes get one at a time."""
     keys = [(e, p, seed, trials) for e in classes]
     todo = []
     for e, key in zip(classes, keys):
@@ -409,11 +403,6 @@ def splitting_types(classes, p: int, seed, trials: int = 3) -> list[tuple[Splitt
     return [_memo[key] for key in keys]
 
 
-def splitting_type(e: DivisorClass, p: int, seed, trials: int = 3) -> tuple[SplittingType, bool]:
-    """``splitting_types`` of one class; a memoized class skips the lists."""
-    return _memo.get((e, p, seed, trials)) or splitting_types([e], p, seed, trials)[0]
-
-
 _COMMAND_STREAM = 757
 
 
@@ -424,13 +413,6 @@ def splittings_of(
     verifier and the Betti assembly: the randomized draws use
     derive_seed(seed, 757)."""
     return splitting_types(classes, p, derive_seed(seed, _COMMAND_STREAM), trials)
-
-
-def splitting_of(
-    e: DivisorClass, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED, trials: int = 3
-) -> tuple[SplittingType, bool]:
-    """``splitting_type`` under the seed rule of ``splittings_of``."""
-    return splitting_type(e, p, derive_seed(seed, _COMMAND_STREAM), trials)
 
 
 def defect_sum(
@@ -453,7 +435,7 @@ def _defect_pass(w: tuple[int, ...], n: int, p: int, seed, trials: int) -> tuple
     provisional = False
     for i, c in enumerate(exceptional_points(w, n)):
         if c.t:
-            st, prov = splitting_type(c, p, derive_seed(seed, 101, i), trials)
+            (st, prov), = splitting_types([c], p, derive_seed(seed, 101, i), trials)
             total += binom2(st.a) + binom2(st.b)
             provisional = provisional or prov
     return total, provisional

@@ -39,7 +39,7 @@ from fatpt.splitting import (
     defect_sum,
     derive_seed,
     predict_report,
-    splitting_of,
+    splittings_of,
 )
 from fatpt.weyl import (
     CREMONA,
@@ -188,7 +188,7 @@ def test_criterion_4_resolution_nine_points(criterion):
 
 def _classify_escapes(master: int):
     classes = enumerate_exceptional(20)
-    typed = [splitting_of(e, PRIME, master, 3) for e in classes]
+    typed = splittings_of(classes, PRIME, master, 3)
     escapes = {
         (st.a, st.b, e.t, e.m)
         for e, (st, provisional) in zip(classes, typed)

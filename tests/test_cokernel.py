@@ -18,9 +18,9 @@ from fatpt.cokernel import (
     monomial_index,
     mu_rank_oracle,
     predicted_cokernel,
-    splitting_of,
+    proven_case,
 )
-from fatpt.splitting import SplittingType
+from fatpt.splitting import SplittingType, forced_type, splittings_of
 from fatpt.weyl import apply_word, enumerate_exceptional, reduction_to_point
 
 CUBIC = parse_class("3;2,1,1,1,1,1,1")
@@ -347,7 +347,8 @@ def test_draw_with_cokernel_above_prediction_is_retried(cls, p, seed):
     # matrix loses rank, so it reads more than the prediction. The next draw
     # is generic.
     e = parse_class(cls)
-    v = cok_dimension(e, splitting_of(e, p, seed)[0].b, p, seed)
+    ((st, _),) = splittings_of([e], p, seed)
+    v = cok_dimension(e, st.b, p, seed)
     word = reduction_to_point(e)
     first, info = cokernel._formula_cokernel(e, word, v.m, p, seed, DEFAULT_COLUMN_CEILING, 10**9)
     assert info["attempt"] == 0 and first > v.predicted
@@ -417,11 +418,56 @@ def test_predicted_cokernel_closed_form():
     assert predicted_cokernel(8, SplittingType(5, 8)) == 0 + 3
 
 
+def test_proven_case_boundaries():
+    e13 = parse_class("13;5,5,5,5,5,5,4,1,1,1,1")
+    # m <= a+2: proven up to m = 7 for type (5, 8), not at m = 8.
+    assert proven_case(e13, 7, SplittingType(5, 8))
+    assert not proven_case(e13, 8, SplittingType(5, 8))
+    # b - a <= 2: proven at every m for (6, 7), and for (5, 7) of degree 12.
+    assert proven_case(e13, 13, SplittingType(6, 7))
+    assert proven_case(DivisorClass(12, (5,)), 12, SplittingType(5, 7))
+    assert not proven_case(DivisorClass(12, (4,)), 12, SplittingType(4, 8))
+    # a = d - max mult: 5;4,1^10 has forced type (1, 4), proven at m = 4 by
+    # that case alone.
+    e5 = parse_class("5;4,1,1,1,1,1,1,1,1,1,1")
+    assert forced_type(5, 4) == SplittingType(1, 4)
+    assert proven_case(e5, 4, SplittingType(1, 4))
+    assert not proven_case(DivisorClass(5, (3,)), 4, SplittingType(1, 4))
+
+
+def test_every_forced_type_is_proven():
+    # A forced type has a = d - max mult or b - a <= 1, so every m is proven.
+    for d in range(1, 81):
+        for mm in range(d + 1):
+            st = forced_type(d, mm)
+            if st is not None:
+                e = DivisorClass(d, (mm,))
+                assert all(proven_case(e, m, st) for m in range(d + 1)), (d, mm)
+
+
+def test_proven_case_escapes_match_the_unforced_unbalanced_rule():
+    # At m = b an escape is exactly a randomized type with b - a > 2: a type
+    # that is not forced has a <= d/2 < d - max mult.
+    classes = enumerate_exceptional(20)
+    typed = splittings_of(classes)
+    escapes = [e for e, (st, _) in zip(classes, typed) if not proven_case(e, st.b, st)]
+    assert escapes == [e for e, (st, prov) in zip(classes, typed) if prov and st.b - st.a > 2]
+    assert len(escapes) == 25
+
+
+def test_all_special_draws_name_the_last_h0(monkeypatch):
+    # Every draw with h0(L') != 3 is drawn again; after RETRY_CAP of them
+    # the error gives the last one's h0.
+    build = cokernel.h0_basis
+    monkeypatch.setattr(cokernel, "h0_basis", lambda *args: np.concatenate([build(*args)] * 2))
+    with pytest.raises(InfeasibleError) as exc:
+        cokernel._formula_cokernel(CUBIC, reduction_to_point(CUBIC), 2, 31991, 11, DEFAULT_COLUMN_CEILING, 0)
+    assert str(exc.value) == "no generic configuration in 10 draws: special configuration: h0 = 6 != 3"
+
+
 def test_splitting_of_forced_vs_pipeline():
-    st, provisional = splitting_of(CUBIC)
-    assert st == SplittingType(1, 2) and not provisional
-    st13, provisional13 = splitting_of(parse_class("13;5,5,5,5,5,5,4,1,1,1,1"))
-    assert st13 == SplittingType(5, 8) and provisional13
+    typed = splittings_of([CUBIC, parse_class("13;5,5,5,5,5,5,4,1,1,1,1")])
+    assert typed == [(SplittingType(1, 2), False), (SplittingType(5, 8), True)]
 
 
 def test_cubic_dual_route_two_seeds():
@@ -451,7 +497,7 @@ def test_both_routes_agree_on_all_small_classes():
 
 def test_medium_class_dual_route():
     e = parse_class("5;2,2,2,2,2,2,1,1")
-    st, provisional = splitting_of(e)
+    ((st, provisional),) = splittings_of([e])
     assert st == SplittingType(2, 3) and not provisional
     for m in (2, 4):
         vf = cok_dimension(e, m, method="formula")

@@ -46,10 +46,26 @@ def _referenced_names(tree, skip, own):
     return names
 
 
+def _package_defs(tree):
+    """(qualified name, node, own) for each module-level def or class and
+    each non-dunder method or property of a module-level class; ``own``
+    says whether a bare name in the defining module can reach it, which a
+    method's cannot."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node, True
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item, False
+
+
 def test_every_helper_has_a_caller():
-    # A module-level def or class of the package that nothing in src/,
-    # tests/ or perfbench/ refers to, outside its own definition, is dead
-    # code and is deleted.
+    # A module-level def or class of the package, or a method or property
+    # of one of its classes, that nothing in src/, tests/ or perfbench/
+    # refers to, outside its own definition, is dead code and is deleted.
     root = SRC.parents[1]
     trees = {
         path: ast.parse(path.read_text(), str(path))
@@ -57,10 +73,11 @@ def test_every_helper_has_a_caller():
         for path in sorted((root / d).rglob("*.py"))
     }
     unused = [
-        f"{path.name}: {node.name}"
+        f"{path.name}: {name}"
         for path in sorted(SRC.glob("*.py"))
-        for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not any(node.name in _referenced_names(tree, node, other == path) for other, tree in trees.items())
+        for name, node, own in _package_defs(trees[path])
+        if not any(
+            node.name in _referenced_names(tree, node, own and other == path) for other, tree in trees.items()
+        )
     ]
     assert unused == []

@@ -14,7 +14,6 @@ from fatpt.splitting import (
     RETRY_CAP,
     SplittingType,
     candidate_pairs,
-    compute_splitting,
     compute_splittings,
     defect_sum,
     derive_seed,
@@ -24,8 +23,7 @@ from fatpt.splitting import (
     predict_report,
     predict_splitting,
     split_bounds,
-    splitting_of,
-    splitting_type,
+    splittings_of,
     splitting_types,
     _draw,
 )
@@ -74,31 +72,31 @@ def test_split_bounds():
 def test_compute_splitting_frozen():
     e13 = parse_class("13;5,5,5,5,5,5,4,1,1,1,1")
     e19 = parse_class("19;7,7,7,7,7,7,7,4,1,1,1")
-    assert compute_splitting(e13) == SplittingType(5, 8)
-    assert compute_splitting(e19) == SplittingType(8, 11)
+    assert compute_splittings([e13]) == [SplittingType(5, 8)]
+    assert compute_splittings([e19]) == [SplittingType(8, 11)]
 
 
 def test_compute_splitting_deterministic():
     e = parse_class("13;5,5,5,5,5,5,4,1,1,1,1")
-    assert compute_splitting(e, seed=7) == compute_splitting(e, seed=7)
+    assert compute_splittings([e], seed=7) == compute_splittings([e], seed=7)
 
 
 def test_compute_splitting_rejects_non_exceptional():
     with pytest.raises(InputError):
-        compute_splitting(parse_class("2;1,1"))
+        compute_splittings([parse_class("2;1,1")])
     with pytest.raises(InputError):
-        compute_splitting(DivisorClass(0, (-1, 0, 0)))
+        compute_splittings([DivisorClass(0, (-1, 0, 0))])
 
 
 @pytest.mark.parametrize("trials", [0, -1])
 def test_library_entry_points_reject_trials_below_one(trials):
     e = parse_class("8;3,3,3,3,3,3,3,1,1")  # not forced: degree 8 > 2*3 + 1
     with pytest.raises(InputError, match="trial"):
-        compute_splitting(e, 31991, 1, trials)
+        compute_splittings([e], 31991, 1, trials)
     with pytest.raises(InputError, match="trial"):
-        splitting_type(e, 31991, 1, trials)
+        splitting_types([e], 31991, 1, trials)
     with pytest.raises(InputError, match="trial"):
-        splitting_of(e, 31991, 1, trials)
+        splittings_of([e], 31991, 1, trials)
     with pytest.raises(InputError, match="trial"):
         cok_dimension(e, 2, 31991, 1, trials=trials)
 
@@ -107,7 +105,7 @@ def test_computed_type_always_allowed():
     for e in enumerate_exceptional(4):
         if intersect(e, line_class(e.n)) < 1:
             continue
-        st = compute_splitting(e, trials=1)
+        (st,) = compute_splittings([e], trials=1)
         bounds = split_bounds(e)
         assert st in bounds
         if len(bounds) == 1:
@@ -281,7 +279,7 @@ def _evaluate(forms, t, p):
 
 
 def _draws(e, p, seeds):
-    """One draw of e per seed by the stacked route of ``compute_splitting``
+    """One draw of e per seed by the stacked route of ``compute_splittings``
     (``_draw`` with the word and the types it hands over): the type, or
     "degenerate"."""
     word, cands = line_reduction(e)[0], candidate_pairs(e.t, max(e.m))
@@ -423,7 +421,7 @@ def test_compute_splitting_checks_the_prime_once(monkeypatch):
     is_prime = exactla.is_prime
     monkeypatch.setattr(exactla, "is_prime", lambda n: calls.append(n) or is_prime(n))
     e = parse_class("8;3,3,3,3,3,3,3,1,1")  # not forced: degree 8 > 2*3 + 1
-    compute_splitting(e, 31991, 1, 3)
+    compute_splittings([e], 31991, 1, 3)
     assert calls == [31991]
 
 
@@ -433,7 +431,7 @@ def test_compute_splitting_reduces_the_class_once(reduce_calls):
     classes = [parse_class(text) for text in ("8;3,3,3,3,3,3,3,1,1", "13;5,5,5,5,5,5,4,1,1,1,1")]
     for e in classes:
         reduce_calls.clear()
-        compute_splitting(e, trials=3, seed=1)
+        compute_splittings([e], trials=3, seed=1)
         assert reduce_calls == [e]
     classes += [e for e in _RANDOMIZED_CLASSES if e.t == 13 and e != classes[1]][:2]
     reduce_calls.clear()
@@ -443,17 +441,17 @@ def test_compute_splitting_reduces_the_class_once(reduce_calls):
 
 def test_compute_splittings_matches_one_class_at_a_time(monkeypatch):
     # Drawing the classes of two degrees together changes no type, and the
-    # memo then hands the computed types to ``splitting_type``.
+    # memo then hands the computed types to one-class requests.
     classes = [e for e in _RANDOMIZED_CLASSES if e.t in (13, 14)]
     assert len({e.t for e in classes}) == 2 and len(classes) > 4
     for p in (211, 31991):
         together = compute_splittings(classes, p, 5, 3)
-        assert together == [compute_splitting(e, p, 5, 3) for e in classes]
+        assert together == [compute_splittings([e], p, 5, 3)[0] for e in classes]
         splitting.clear_memo()
         assert splitting_types(classes, p, 5, 3) == [(st, True) for st in together]
         with monkeypatch.context() as m:
             m.setattr(splitting, "compute_splittings", None)  # a draw would fail
-            assert [splitting_type(e, p, 5, 3) for e in classes] == [(st, True) for st in together]
+            assert [splitting_types([e], p, 5, 3)[0] for e in classes] == [(st, True) for st in together]
 
 
 def test_compute_splittings_names_the_first_infeasible_class():
@@ -473,9 +471,24 @@ def test_compute_splittings_names_the_first_infeasible_class():
         compute_splittings([low, high], 29, 1, 3)
 
 
+@pytest.mark.parametrize(
+    "votes",
+    [
+        [SplittingType(5, 8), SplittingType(5, 8), SplittingType(6, 7)],
+        [SplittingType(5, 8), SplittingType(6, 7)],
+    ],
+)
+def test_vote_keeps_the_largest_a(monkeypatch, votes):
+    # A special draw can only lower a, so the accepted type with the largest
+    # a wins, against a majority and against a tie's first vote.
+    e = parse_class("13;5,5,5,5,5,5,4,1,1,1,1")
+    monkeypatch.setattr(splitting, "_draw", lambda draws, p: votes[: len(draws)])
+    assert compute_splittings([e], trials=len(votes)) == [SplittingType(6, 7)]
+
+
 def test_compute_splitting_rejects_composite_prime():
     with pytest.raises(InputError, match="not prime"):
-        compute_splitting(parse_class("8;3,3,3,3,3,3,3,1,1"), 15)
+        compute_splittings([parse_class("8;3,3,3,3,3,3,3,1,1")], 15)
 
 
 def test_predict_report_frozen():
