@@ -2,9 +2,11 @@
 syzygy degrees of rational plane curves.
 
 ``check_prime`` states the contract every exact computation relies on: an
-odd prime below 2**31, so that one product of residues fits int64. No
-floating point anywhere; a wrong count would silently corrupt every
-prediction built on top. The row reduction itself lives in ``_kernels``.
+odd prime below 2**31, so that one product of residues fits int64. Floating
+point enters only where it is exact: the row reduction's float64 products
+of residues, taken only while their sums stay below 2**53. A wrong count
+would silently corrupt every prediction built on top. The row reduction
+itself lives in ``_kernels``.
 
 ``syzygy_degrees`` reads the syzygy degrees of a stack of curves of one
 degree off their points without any rank: one division-free interpolation
@@ -15,7 +17,7 @@ one.
 
 The default prime 31991 is large enough that random point configurations are
 almost surely generic and small enough that int64 holds about 2**33 products
-of residues before a sum has to be reduced mod p.
+of residues before a sum has to be reduced mod p, and float64 about 2**23.
 """
 
 from __future__ import annotations
@@ -48,6 +50,12 @@ def check_prime(p: int) -> None:
     k*(p-1)**2 < 2**63. The row reduction applies this rule through
     ``_kernels._cap``, which fixes how many unreduced updates it takes
     between reductions.
+
+    float64 holds every integer below 2**53, so a float64 product of
+    residue matrices with inner dimension k is exact while
+    k*(p-1)**2 + p < 2**53 (``_kernels._float_cap``). The row reduction's
+    column panels need that for k = ``_kernels.PANEL`` = 32, which holds up
+    to p = 16777213; at larger p every matrix is eliminated in int64 alone.
     """
     if not (2 < p < 2**31):
         raise InputError(f"prime must satisfy 2 < p < 2**31, got {p}")

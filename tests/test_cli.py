@@ -356,18 +356,25 @@ def test_golden_report_digests(capsys, argv, code, digest):
 
 
 @pytest.mark.extended
-def test_degree_28_census_digest(capsys):
-    # The large census: every escape up to degree 28 verified at the
-    # default prime and seed, none violating or skipped, report pinned.
-    assert run(["sweep", "--max-degree", "28", "--verify"]) == 0
+@pytest.mark.parametrize(
+    "degree, total, escapes, digest",
+    [
+        (28, 17382, 397, "71c50e432a77b9e09b1699f415de680fa77275d915679568c5e61077235944e0"),
+        (32, 43891, 1231, "6176d4edbf0ad65bc8a3c7c7749d2dcf47e5ff84ab8c6ce97ba5ef9169a0df18"),
+    ],
+    ids=["28", "32"],
+)
+def test_verified_census_digest(capsys, degree, total, escapes, digest):
+    # The large censuses, the paper's appendix check carried further: every
+    # escape up to the degree verified at the default prime and seed, none
+    # violating or skipped, report pinned.
+    assert run(["sweep", "--max-degree", str(degree), "--verify"]) == 0
     out = capsys.readouterr().out
     rep = json.loads(out)
-    assert (rep["total"], len(rep["escapes"]), rep["violations"]) == (17382, 397, 0)
-    assert len(rep["verification"]) == 397
+    assert (rep["total"], len(rep["escapes"]), rep["violations"]) == (total, escapes, 0)
+    assert len(rep["verification"]) == escapes
     assert not any("skipped" in row for row in rep["verification"])
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "71c50e432a77b9e09b1699f415de680fa77275d915679568c5e61077235944e0"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_env_prime_and_flag_precedence(capsys, monkeypatch):

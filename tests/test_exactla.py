@@ -34,6 +34,55 @@ def test_reduction_cap():
     assert _kernels._cap(31991) > 2**33
 
 
+# The largest prime whose float64 bound reaches the panel width, and the
+# prime after it.
+PANEL, PANEL_ROWS = _kernels.PANEL, _kernels.PANEL_ROWS
+PANEL_PRIME, PAST_PANEL_PRIME = 16777213, 16777259
+
+
+def test_float_cap_and_panel_boundary(monkeypatch):
+    # The largest k with k*(p-1)**2 + p < 2**53: how wide a float64 product
+    # of residues can be and stay exact. Panels need it to reach PANEL.
+    for p in (3, 7, 31991, PANEL_PRIME, PAST_PANEL_PRIME, 2**31 - 1):
+        k = _kernels._float_cap(p)
+        assert k * (p - 1) ** 2 + p < 2**53 <= (k + 1) * (p - 1) ** 2 + p
+    assert _kernels._float_cap(PANEL_PRIME) >= PANEL > _kernels._float_cap(PAST_PANEL_PRIME)
+    assert is_prime(PANEL_PRIME) and is_prime(PAST_PANEL_PRIME)
+    assert not any(is_prime(q) for q in range(PANEL_PRIME + 1, PAST_PANEL_PRIME))
+    assert _kernels._float_cap(2**31 - 1) == 0
+
+    # Only matrices of PANEL_ROWS rows or more, at primes up to PANEL_PRIME,
+    # get the trailing update of a panel; every other runs as one panel.
+    # Both give the reference's rank.
+    seen = []
+    trailing = _kernels._trailing
+
+    def spy(a, p, *rest):
+        seen.append((a.shape[0], p))
+        trailing(a, p, *rest)
+
+    monkeypatch.setattr(_kernels, "_trailing", spy)
+    for p in (31991, PANEL_PRIME, PAST_PANEL_PRIME, 2**31 - 1):
+        for nrows in (PANEL_ROWS - 1, PANEL_ROWS):
+            _, rows, ncols = _panel_case(p, nrows, PANEL + 3, seed=nrows)
+            assert _kernels.rank(np.array(rows, dtype=np.int64), p) == _reference_rref(rows, ncols, p)[0]
+    assert sorted(set(seen)) == [(PANEL_ROWS, 31991), (PANEL_ROWS, PANEL_PRIME)]
+
+
+def test_float_reduction():
+    # _mod's inputs reach -PANEL*(p-1)**2 (a trailing row less a product)
+    # and PANEL*(p-1)**2 + p - 1 (a doubling step); at the largest panel
+    # prime those are the extremes. Anything with |x| + p < 2**53 reduces
+    # exactly; the last two need the upward and the downward correction.
+    for p in (3, 103, 31991, PANEL_PRIME):
+        top = PANEL * (p - 1) ** 2
+        xs = [-top, -top + 1, -p * (top // p), -p, -1, 0, 1, p - 1, p, 2 * p - 1, top, top + p - 1]
+        xs += [x + d for x in (-top // 2, top // 2) for d in range(-p, p, max(1, p // 7))]
+        assert _kernels._mod(np.array(xs, dtype=np.float64), p).tolist() == [x % p for x in xs]
+    for p, x in ((103, 103), (3, -9007199254725988)):
+        assert _kernels._mod(np.array([float(x)]), p).tolist() == [x % p]
+
+
 def test_rank_and_nullspace_identity():
     p = 101
     a = np.eye(4, dtype=np.int64)
@@ -101,14 +150,25 @@ def _reference_nullspace(reduced, pivots, ncols, p):
 def _rank_deficient_matrices(draw):
     """(p, rows, ncols): rows and columns are scaled repeats of those of a
     small base matrix with many zeros, so most draws are rank-deficient;
-    empty picks give 0-row and 0-column matrices."""
-    p = draw(st.sampled_from([7, 101, 31991, 2**31 - 1]))
+    empty picks give 0-row and 0-column matrices. A tall draw has the rows
+    for column panels, a larger base, and two to three panels of columns,
+    zero up to a drawn column, so that its pivots can fall in any panel and
+    whole panels can be zero."""
+    p = draw(st.sampled_from([7, 101, 31991, PANEL_PRIME, 2**31 - 1]))
+    tall = draw(st.booleans())
     entry = st.one_of(st.just(0), st.integers(0, p - 1))
-    r0, c0 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    r0, c0 = draw(st.integers(1, 12 if tall else 5)), draw(st.integers(1, 12 if tall else 5))
     base = draw(st.lists(st.lists(entry, min_size=c0, max_size=c0), min_size=r0, max_size=r0))
     scale = st.integers(1, p - 1)
-    row_pick = draw(st.lists(st.tuples(st.integers(0, r0 - 1), scale), max_size=8))
-    col_pick = draw(st.lists(st.tuples(st.integers(0, c0 - 1), scale), max_size=8))
+    if tall:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        nrows, ncols = draw(st.integers(PANEL_ROWS, PANEL_ROWS + 8)), draw(st.integers(PANEL + 1, 3 * PANEL + 1))
+        lead = draw(st.one_of(st.just(0), st.integers(0, ncols)))
+        row_pick = zip(rng.integers(0, r0, nrows).tolist(), rng.integers(1, p, nrows).tolist())
+        col_pick = list(zip(rng.integers(0, c0, ncols).tolist(), [0] * lead + rng.integers(1, p, ncols - lead).tolist()))
+    else:
+        row_pick = draw(st.lists(st.tuples(st.integers(0, r0 - 1), scale), max_size=8))
+        col_pick = draw(st.lists(st.tuples(st.integers(0, c0 - 1), scale), max_size=8))
     rows = [[base[i][j] * s * t % p for j, t in col_pick] for i, s in row_pick]
     return p, rows, len(col_pick)
 
@@ -146,6 +206,54 @@ def _solve_worst_case(p, ncols):
     return p, rows, ncols
 
 
+def _panel_case(p, nrows, ncols, deps=(), zero=range(0), seed=0, dep_rows=()):
+    """(p, rows, ncols) of random entries, except that each column in
+    ``deps`` is a combination of the two before it, so it is not a pivot,
+    the columns in ``zero`` are zero, and each row in ``dep_rows`` is a
+    combination of the two before it."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(nrows, ncols)).astype(object)
+    for j in deps:
+        s, t = rng.integers(1, p, size=2).tolist()
+        a[:, j] = (s * a[:, j - 1] + t * a[:, j - 2]) % p
+    a[:, zero] = 0
+    for i in dep_rows:
+        s, t = rng.integers(1, p, size=2).tolist()
+        a[i] = (s * a[i - 1] + t * a[i - 2]) % p
+    return p, a.tolist(), ncols
+
+
+# Column panels at 31991 and at the largest prime that takes them, and one
+# panel at 2**31 - 1, keyed by (p, what the matrix crosses): rank-deficient
+# columns around the first panel edge, an all-zero panel, rows that run out
+# inside a panel, and a first panel whose trailing rows take two product
+# blocks (192 trailing columns; rank 70, all rows past it zero at the end).
+PANEL_EDGE_CASES = {
+    (p, name): _panel_case(p, PANEL_ROWS + 2, ncols, deps, zero, seed, dep_rows)
+    for p in (31991, PANEL_PRIME, 2**31 - 1)
+    for name, ncols, deps, zero, dep_rows, seed in [
+        ("b-1", 2 * PANEL + 5, (PANEL - 1,), range(0), (), 1),
+        ("b", 2 * PANEL + 5, (PANEL,), range(0), (), 2),
+        ("b+1", 2 * PANEL + 5, (PANEL + 1,), range(0), (), 3),
+        ("b-1..b+1", 2 * PANEL + 5, (PANEL - 1, PANEL, PANEL + 1), range(0), (), 4),
+        ("zero panel", 3 * PANEL + 5, (), range(PANEL, 2 * PANEL), (), 5),
+        ("rows run out", PANEL_ROWS + 3 * PANEL // 2, (3,), range(0), (), 6),
+        ("row blocks", 7 * PANEL, (), range(0), range(2 * PANEL + 6, PANEL_ROWS + 2), 7),
+    ]
+}
+
+
+def _examples(calls):
+    """``example(*args)`` for each tuple of args in ``calls``."""
+
+    def attach(test):
+        for args in calls:
+            test = example(*args)(test)
+        return test
+
+    return attach
+
+
 # Primes whose _cap is 36, 39, 40 and 41, around the 40 columns of the
 # boundary examples: back-substitution sums unreduced products only at 40
 # and 41.
@@ -180,6 +288,7 @@ def test_cap_primes():
 @example(_low_rank(CAP_PRIMES[39], 30, 40, 6, 11))
 @example(_low_rank(CAP_PRIMES[40], 30, 40, 6, 12))
 @example(_low_rank(CAP_PRIMES[41], 30, 40, 6, 13))
+@_examples((case,) for case in PANEL_EDGE_CASES.values())
 @settings(max_examples=200)
 def test_rref_and_nullspace_match_reference(case):
     p, rows, ncols = case
@@ -213,7 +322,7 @@ def test_rref_and_nullspace_match_reference(case):
     assert a.tolist() == rows
 
 
-@given(_rank_deficient_matrices(), st.integers(0, 9))
+@given(_rank_deficient_matrices(), st.one_of(st.integers(0, 9), st.integers(0, 3 * PANEL + 2)))
 @example((31991, [], 0), 0)
 @example((101, [[], [], []], 0), 3)
 @example(_low_rank(2**31 - 1, 40, 40, 40, 5), 17)  # a reduction every second update
@@ -221,6 +330,11 @@ def test_rref_and_nullspace_match_reference(case):
 @example(_banded(31991, 3, 12, 30, 9), 13)  # product-matrix shaped
 @example(_banded(2**31 - 1, 3, 12, 30, 10), 20)
 @example(_solve_worst_case(CAP_PRIMES[40], 40), 39)
+# Stop inside the second panel and on its edge, with panels and without.
+@_examples(
+    [(PANEL_EDGE_CASES[p, "b-1..b+1"], stop) for p in (31991, PANEL_PRIME, 2**31 - 1) for stop in (PANEL + 9, 2 * PANEL)]
+    + [(PANEL_EDGE_CASES[31991, "zero panel"], PANEL)]  # the zero panel starts at the stop
+)
 @settings(max_examples=200)
 def test_forward_stops_the_pivot_search(case, stop):
     p, rows, ncols = case
