@@ -38,7 +38,6 @@ from .lattice import format_class, format_mults, parse_class, parse_mults
 from .linsys import alpha_degree, decompose, hilbert, sanity_check_decomposition
 from .splitting import (
     DEFAULT_SEED,
-    clear_memo,
     forced_type,
     predict_report,
     split_bounds,
@@ -264,8 +263,10 @@ def _cmd_verify_cokernel(args):
     methods = ("formula", "oracle") if args.method == "both" else (args.method,)
     results = []
     verdicts = []
+    st = None  # the oracle predicts with the type the formula verdict holds
     for method in methods:
-        v = cok_dimension(e, args.m, args.prime, args.seed, method, args.ceiling)
+        v = cok_dimension(e, args.m, args.prime, args.seed, method, args.ceiling, st)
+        st = v.splitting
         verdicts.append(v)
         results.append(
             {
@@ -379,9 +380,7 @@ def _cmd_sweep(args):
         for k, (e, st) in enumerate(escapes, 1):
             row = {"class": format_class(e), "m": st.b}
             try:
-                v = cok_dimension(
-                    e, st.b, args.prime, args.seed, "formula", args.ceiling, args.trials
-                )
+                v = cok_dimension(e, st.b, args.prime, args.seed, "formula", args.ceiling, st)
                 row.update(predicted=v.predicted, computed=v.computed, match=v.match)
             except InfeasibleError as exc:
                 row["skipped"] = str(exc)
@@ -481,9 +480,8 @@ _PARSER = _build_parser()
 
 
 def run(argv=None) -> int:
-    """Parse, dispatch, print the report; returns the exit code. Splitting
-    types and alpha degrees are memoized within one request only."""
-    clear_memo()
+    """Parse, dispatch, print the report; returns the exit code. Alpha
+    degrees are memoized within one request only."""
     alpha_degree.cache_clear()
     try:
         args = _PARSER.parse_args(argv)

@@ -73,7 +73,16 @@ from .errors import InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME, check_prime
 from .lattice import DivisorClass, FatPointScheme, binom2, line_class, point_class
 from .linsys import expected_h0
-from .splitting import DEFAULT_SEED, RETRY_CAP, SplittingType, derive_seed, draw_points, splittings_of
+from .splitting import (
+    DEFAULT_SEED,
+    RETRY_CAP,
+    SplittingType,
+    candidate_pairs,
+    derive_seed,
+    draw_points,
+    forced_type,
+    splittings_of,
+)
 from .weyl import apply_word, reduction_to_point
 
 DEFAULT_COLUMN_CEILING = 16000
@@ -381,11 +390,13 @@ def cok_dimension(
     seed=DEFAULT_SEED,
     method: str = "formula",
     ceiling: int = DEFAULT_COLUMN_CEILING,
-    trials: int = 3,
+    splitting: SplittingType | None = None,
 ) -> MuVerdict:
-    """Computed and predicted dim coker mu for the system L + mE; the
-    prediction uses the splitting type from ``trials`` randomized draws when
-    the type is not forced."""
+    """Computed and predicted dim coker mu for the system L + mE. The
+    prediction uses ``splitting``, the class's type as its caller already
+    holds it; when None, the type comes from a one-class ``splittings_of``
+    request. The verdict is provisional when the type is not forced, the
+    rule ``splitting_types`` marks its types by."""
     check_prime(p)
     word = reduction_to_point(e)
     d = e.t
@@ -395,8 +406,11 @@ def cok_dimension(
         raise InputError(f"m must satisfy 0 <= m <= degree {d}, got {m}")
     if method not in ("formula", "oracle"):
         raise InputError(f"unknown method {method!r}")
-    (st, provisional), = splittings_of([e], p, seed, trials)
-    predicted = predicted_cokernel(m, st)
+    if splitting is None:
+        (splitting, _), = splittings_of([e], p, seed)
+    elif splitting not in candidate_pairs(d, max(e.m)):
+        raise InputError(f"splitting type {splitting} is not an allowed type of {e}")
+    predicted = predicted_cokernel(m, splitting)
     if m == 0:
         computed = 0
     elif method == "formula":
@@ -409,4 +423,5 @@ def cok_dimension(
         # The oracle is for small instances: its own 2000 cap bounds the
         # matrices it builds, whatever the formula route's ceiling.
         computed = mu_rank_oracle(pts, z, t, p, max_dim=min(ceiling, 2000))
-    return MuVerdict(e, m, p, int(seed), st, provisional, predicted, computed, method)
+    provisional = forced_type(d, max(e.m)) is None
+    return MuVerdict(e, m, p, int(seed), splitting, provisional, predicted, computed, method)

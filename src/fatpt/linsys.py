@@ -158,8 +158,9 @@ def alpha_degree(z: FatPointScheme) -> int:
     chi(H) = chi(F) + sum C(c_j, 2) >= chi(F), so hi is effective (an
     AssertionError says otherwise). A curve of degree t plus a line is one
     of degree t + 1, so expected_h0 > 0 is monotone in t and bisection takes
-    at most ceil(log2(hi - lo + 1)) + 1 evaluations. Memoized per scheme;
-    ``cli.run`` clears the memo at the start of each request."""
+    at most ceil(log2(hi - lo + 1)) + 1 evaluations. Memoized per scheme,
+    the package's one request cache: ``cli.run`` clears it at the start of
+    each request."""
     lo = max(z.mults)
     hi, conditions = lo, z.conditions()
     while (hi + 1) * (hi + 2) // 2 <= conditions:

@@ -34,10 +34,11 @@ every trial sees the draws, and casts the vote, it would alone.
 ``splitting_types`` is the single place that decides between the two: the
 closed form when the degree forces the type, else ``compute_splittings``
 (marked provisional), with the classes that need draws drawn together. It
-takes a list, one class being a list of one, and is memoized per (class,
-prime, seed, trials); the command line clears the memo at the start of
-every request. ``splittings_of`` is the same decision under the seed rule
-shared by the commands and the cokernel and Betti layers.
+takes any iterable of classes, one class being a list of one, and keeps no
+state: a caller that already holds a type passes it on rather than asking
+again (the cokernel verifier takes it as an argument).
+``splittings_of`` is the same decision under the seed rule shared by the
+commands and the cokernel and Betti layers.
 
 ``predict_splitting`` is the deterministic conjecture: among the allowed
 (a, b) it returns the most balanced pair whose genus-like score
@@ -373,34 +374,17 @@ def compute_splittings(
     return [max(res, key=lambda st: st.a) for res in results]
 
 
-# (type, provisional) by (class, prime, seed, trials). The command line
-# clears it at the start of every request.
-_memo: dict = {}
-
-
-def clear_memo() -> None:
-    _memo.clear()
-
-
 def splitting_types(classes, p: int, seed, trials: int = 3) -> list[tuple[SplittingType, bool]]:
     """(type, provisional) of each class: the closed form when the degree
     forces the type, else ``compute_splittings`` with this exact seed
-    (marked provisional), memoized. The classes that need a draw are drawn
-    together, in the given order; a class's draws depend on its own seed
+    (marked provisional). The classes that need a draw are drawn together,
+    each once, in the given order; a class's draws depend on its own seed
     only, so the types are those the classes get one at a time."""
-    keys = [(e, p, seed, trials) for e in classes]
-    todo = []
-    for e, key in zip(classes, keys):
-        if key not in _memo:
-            st = forced_type(e.t, max(e.m))
-            if st is None:
-                todo.append(e)
-            else:
-                _memo[key] = (st, False)
-    todo = list(dict.fromkeys(todo))
-    for e, st in zip(todo, compute_splittings(todo, p, seed, trials) if todo else ()):
-        _memo[e, p, seed, trials] = (st, True)
-    return [_memo[key] for key in keys]
+    classes = list(classes)
+    forced = {e: forced_type(e.t, max(e.m)) for e in classes}
+    todo = [e for e, st in forced.items() if st is None]
+    drawn = dict(zip(todo, compute_splittings(todo, p, seed, trials))) if todo else {}
+    return [(drawn[e], True) if e in drawn else (forced[e], False) for e in classes]
 
 
 _COMMAND_STREAM = 757

@@ -155,7 +155,7 @@ def test_verify_cokernel_needs_prime_above_matrix_degree(capsys, method, prime, 
 
 
 def test_verify_cokernel_mismatch_exits_3(capsys, monkeypatch):
-    def fake(e, m, p, seed, method, ceiling):
+    def fake(e, m, p, seed, method, ceiling, splitting):
         return MuVerdict(e, m, p, seed, SplittingType(1, 2), False, 1, 2, method)
 
     monkeypatch.setattr("fatpt.cli.cok_dimension", fake)
@@ -253,7 +253,7 @@ def _count_splittings(monkeypatch):
 
 def test_sweep_verify_splits_each_class_once(capsys, monkeypatch):
     # The classification draws every provisional class once, all in one
-    # call, and the verification reads the memo it fills.
+    # call, and the verification predicts with the types it found.
     calls, batches = _count_splittings(monkeypatch)
     code, rep = run_json(
         capsys, ["sweep", "--max-degree", "15", "--trials", "1", "--verify"]
@@ -265,7 +265,7 @@ def test_sweep_verify_splits_each_class_once(capsys, monkeypatch):
     assert len(batches) == 1
 
 
-def test_splitting_memo_cleared_per_request(capsys, monkeypatch):
+def test_each_request_draws_its_own_classes(capsys, monkeypatch):
     calls, _ = _count_splittings(monkeypatch)
     argv = ["split", "--class", "13;5,5,5,5,5,5,4,1,1,1,1"]
     _, first = run_json(capsys, argv)
@@ -273,6 +273,17 @@ def test_splitting_memo_cleared_per_request(capsys, monkeypatch):
     _, second = run_json(capsys, argv)
     assert len(calls) == 2
     assert first == second
+
+
+def test_verify_cokernel_both_methods_draw_the_class_once(capsys, monkeypatch):
+    # The oracle predicts with the type the formula verdict holds.
+    calls, batches = _count_splittings(monkeypatch)
+    argv = ["verify-cokernel", "--class", "8;3,3,3,3,3,3,3,1,1", "--m", "1", "--method", "both"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert [r["method"] for r in rep["results"]] == ["formula", "oracle"]
+    assert rep["provisional"] == ["8;3,3,3,3,3,3,3,1,1"]
+    assert batches == [[parse_class("8;3,3,3,3,3,3,3,1,1")]]
 
 
 def test_alpha_memo_cleared_per_request(capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fatpt.errors import InfeasibleError, InputError
 from fatpt.lattice import DivisorClass, intersect, line_class, parse_class, point_class
-from fatpt import cokernel
+from fatpt import cokernel, splitting
 from fatpt._kernels import _forward, nullspace, rank
 from fatpt.cokernel import (
     DEFAULT_COLUMN_CEILING,
@@ -521,6 +521,32 @@ def test_cok_dimension_input_validation():
         cok_dimension(CUBIC, 1, method="magic")
     with pytest.raises(InputError):
         cok_dimension(DivisorClass(0, (-1, 0, 0)), 0)
+
+
+def test_cok_dimension_rejects_a_type_outside_the_allowed_range():
+    e = parse_class("8;3,3,3,3,3,3,3,1,1")  # allowed: (3,5) and (4,4)
+    with pytest.raises(InputError, match="allowed"):
+        cok_dimension(e, 1, splitting=SplittingType(4, 5))  # degree 9, not 8
+    with pytest.raises(InputError, match="allowed"):
+        cok_dimension(e, 1, splitting=SplittingType(2, 6))  # a below the range
+    with pytest.raises(InputError, match="allowed"):
+        cok_dimension(CUBIC, 1, splitting=SplittingType(0, 3))  # forced (1,2)
+
+
+@pytest.mark.parametrize("cls", ["3;2,1,1,1,1,1,1", "8;3,3,3,3,3,3,3,1,1"])
+def test_cok_dimension_predicts_with_the_type_it_is_handed(cls, monkeypatch):
+    # A caller that holds the type makes no draw, and gets the verdict of
+    # the one-class request; provisional is the flag splittings_of gives.
+    e = parse_class(cls)
+    ((st, provisional),) = splittings_of([e])
+    default = cok_dimension(e, 1)
+    assert default.splitting == st and default.provisional == provisional
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a held type needs no draw")
+
+    monkeypatch.setattr(splitting, "compute_splittings", no_draw)
+    assert cok_dimension(e, 1, splitting=st) == default
 
 
 def test_column_ceiling_refuses_large_instances():

@@ -81,3 +81,65 @@ def test_every_helper_has_a_caller():
         )
     ]
     assert unused == []
+
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_MUTATORS = {
+    "add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
+    "remove", "reverse", "setdefault", "sort", "update",
+}
+
+
+def _module_containers(tree):
+    """Names a module binds at its top level to a dict, list or set."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, _CONTAINERS) or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "list", "set", "defaultdict", "OrderedDict", "Counter")
+        ):
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _mutated_names(fn):
+    """Names a function mutates in place and does not bind itself: a
+    subscript stored or deleted, or a call of a mutating method."""
+    local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    local |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    mutated = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATORS
+        ):
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id not in local:
+            mutated.add(target.id)
+    return mutated
+
+
+def test_no_function_mutates_module_state():
+    # Results live in arguments and return values: a module-level dict,
+    # list or set that a function fills is state shared by every request.
+    # ``linsys.alpha_degree``'s lru_cache is the one request cache.
+    shared = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        containers = _module_containers(tree)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                shared += [f"{path.name}: {fn.name} mutates {name}" for name in sorted(_mutated_names(fn) & containers)]
+    assert shared == []

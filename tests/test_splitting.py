@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatpt import _kernels, exactla, splitting
-from fatpt.cokernel import cok_dimension
 from fatpt.errors import DegenerateConfiguration, InfeasibleError, InputError
 from fatpt.lattice import DivisorClass, intersect, line_class, parse_class
 from fatpt.splitting import (
@@ -97,8 +96,6 @@ def test_library_entry_points_reject_trials_below_one(trials):
         splitting_types([e], 31991, 1, trials)
     with pytest.raises(InputError, match="trial"):
         splittings_of([e], 31991, 1, trials)
-    with pytest.raises(InputError, match="trial"):
-        cok_dimension(e, 2, 31991, 1, trials=trials)
 
 
 def test_computed_type_always_allowed():
@@ -439,19 +436,24 @@ def test_compute_splitting_reduces_the_class_once(reduce_calls):
     assert reduce_calls == classes
 
 
-def test_compute_splittings_matches_one_class_at_a_time(monkeypatch):
-    # Drawing the classes of two degrees together changes no type, and the
-    # memo then hands the computed types to one-class requests.
+def test_compute_splittings_matches_one_class_at_a_time():
+    # Drawing the classes of two degrees together changes no type.
     classes = [e for e in _RANDOMIZED_CLASSES if e.t in (13, 14)]
     assert len({e.t for e in classes}) == 2 and len(classes) > 4
     for p in (211, 31991):
         together = compute_splittings(classes, p, 5, 3)
         assert together == [compute_splittings([e], p, 5, 3)[0] for e in classes]
-        splitting.clear_memo()
         assert splitting_types(classes, p, 5, 3) == [(st, True) for st in together]
-        with monkeypatch.context() as m:
-            m.setattr(splitting, "compute_splittings", None)  # a draw would fail
-            assert [splitting_types([e], p, 5, 3)[0] for e in classes] == [(st, True) for st in together]
+
+
+def test_splitting_types_read_an_iterator_once():
+    # Any iterable will do: a generator gives the types a list gives, with
+    # the forced class by the closed form and the other one drawn.
+    classes = [parse_class("3;2,1,1,1,1,1,1"), parse_class("8;3,3,3,3,3,3,3,1,1")]
+    listed = splittings_of(classes)
+    assert [prov for _, prov in listed] == [False, True]
+    assert splittings_of(e for e in classes) == listed
+    assert splitting_types((e for e in classes), 31991, 5) == splitting_types(classes, 31991, 5)
 
 
 def test_compute_splittings_names_the_first_infeasible_class():
