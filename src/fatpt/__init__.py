@@ -2,8 +2,8 @@
 graded Betti numbers, exceptional curves and their splitting types, with
 exact verification over prime fields."""
 
-from .errors import ConjectureViolation, DegenerateConfiguration, InfeasibleError, InputError
-from .exactla import DEFAULT_PRIME, check_prime, min_syzygy_degree
+from .errors import ConjectureViolation, InfeasibleError, InputError
+from .exactla import DEFAULT_PRIME, check_prime
 from .lattice import (
     DivisorClass,
     FatPointScheme,
@@ -52,7 +52,6 @@ from .splitting import (
     draw_points,
     forced_type,
     predict_report,
-    predict_splitting,
     split_bounds,
     splittings_of,
 )

@@ -96,13 +96,9 @@ def _resolve_job(args) -> None:
 def _value_cell(v) -> str:
     if v is None:
         return "?"
-    if isinstance(v, list):
+    if isinstance(v, tuple):
         return f"{v[0]}..{v[1]}"
     return str(v)
-
-
-def _value_json(v):
-    return list(v) if isinstance(v, tuple) else v
 
 
 def _base_report(args, conjectural: bool, provisional=()) -> dict:
@@ -160,8 +156,8 @@ def _cmd_resolution(args):
         rows.append(
             {
                 "degree": ent.degree,
-                "generators": _value_json(g),
-                "syzygies": _value_json(s),
+                "generators": g,
+                "syzygies": s,
                 "flag": ent.flag,
             }
         )

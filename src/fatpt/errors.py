@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: InputError -> 2,
-InfeasibleError -> 1, ConjectureViolation -> 3.
+The CLI (``cli.run``) maps each onto a process exit code and prints its
+message to stderr:
+
+- InputError -> 2: the input is malformed or outside the contract.
+- InfeasibleError -> 1: the computation is past a size or retry ceiling.
+- ConjectureViolation -> 3: a computed value contradicts a prediction.
 """
 
 
@@ -20,10 +24,3 @@ class ConjectureViolation(AssertionError):
     Raised instead of returning a result so that a genuine counterexample can
     never be mistaken for a clean run.
     """
-
-
-class DegenerateConfiguration(RuntimeError):
-    """A point configuration is in special position for a syzygy count:
-    ``exactla.min_syzygy_degree`` raises it, with the reason, when the
-    syzygy nullities read off the points fit no curve of the given degree.
-    Nothing in the package catches it."""

@@ -12,8 +12,6 @@ itself lives in ``_kernels``.
 degree off their points without any rank: one division-free interpolation
 recursion (``_basis_degrees``) runs over all k curves at once, O(d**2) per
 curve, and the counts it leaves give both nullities the syzygy degree needs.
-``min_syzygy_degree`` is the checked entry point for one curve, a stack of
-one.
 
 The default prime 31991 is large enough that random point configurations are
 almost surely generic and small enough that int64 holds about 2**33 products
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, InputError
+from .errors import InputError
 
 DEFAULT_PRIME = 31991
 
@@ -61,43 +59,6 @@ def check_prime(p: int) -> None:
         raise InputError(f"prime must satisfy 2 < p < 2**31, got {p}")
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-
-
-def min_syzygy_degree(t, pts, d: int, p: int) -> int:
-    """Least syzygy degree a of a degree-d rational plane curve, read off
-    points of it: ``syzygy_degrees`` for a stack of one curve, after checking
-    the input.
-
-    ``pts[j]`` is a point of the curve at parameter ``t[j]``, any nonzero
-    multiple of phi(t_j) for a parametrization phi of degree d; the first
-    2d+1 of the t_j must be distinct residues. A syzygy s of degree e kills phi
-    exactly when s(t_j) . pts[j] = 0 at d+e+1 of them, since s . phi has
-    degree d+e; scaling a row does not change that. So the syzygies of
-    degree e are the nullspace of the evaluation matrix with rows
-    pts[j][i] * t_j**k, k = 0..e, on the first d+e+1 points.
-
-    For a coprime parametrization of degree d, Hilbert-Burch makes the
-    syzygy module free, R(-a) + R(-b) with a + b = d (the mu-basis of the
-    curve), so degree e has max(0, e-a+1) + max(0, e-b+1) syzygies. At
-    e = floor((d-1)/2) the second term vanishes, so the nullity there gives
-    a = e + 1 - nullity, or a = d/2 when the nullity is 0. The nullity at
-    e = b must then be b - a + 2. The two counts together accept
-    exactly a degree-d curve of type (a, b); points of a curve of lower
-    degree (a common factor, or a degenerate draw) give an impossible
-    nullity or a mismatch, which raises ``DegenerateConfiguration``.
-    """
-    t = np.asarray(t, dtype=np.int64) % p
-    pts = np.asarray(pts, dtype=np.int64) % p
-    if d < 0:
-        raise InputError(f"syzygy degree needs a curve degree d >= 0, got {d}")
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(t) != len(pts):
-        raise InputError("syzygy input needs one point of P^2 per parameter")
-    if len(set(t[: 2 * d + 1].tolist())) < 2 * d + 1:
-        raise InputError(f"syzygy degree of a degree-{d} curve needs {2 * d + 1} distinct parameters")
-    a = syzygy_degrees(t[None], pts[None], d, p)[0]
-    if isinstance(a, str):
-        raise DegenerateConfiguration(a)
-    return a
 
 
 def _basis_degrees(t: np.ndarray, pts: np.ndarray, p: int) -> np.ndarray:
@@ -140,12 +101,29 @@ def _basis_degrees(t: np.ndarray, pts: np.ndarray, p: int) -> np.ndarray:
 
 
 def syzygy_degrees(t: np.ndarray, pts: np.ndarray, d: int, p: int) -> list[int | str]:
-    """``min_syzygy_degree`` of each curve of a stack of k curves of degree
-    d: ``t`` is (k, m) and ``pts`` (k, m, 3), entries in [0, p), and each row
-    of ``t`` starts with 2d+1 distinct parameters (not checked).
+    """Least syzygy degree a of each curve of a stack of k rational plane
+    curves of degree d, read off points of them: ``t`` is (k, m) and ``pts``
+    (k, m, 3), entries in [0, p), and each row of ``t`` starts with 2d+1
+    distinct parameters (not checked). One curve is a stack of one.
 
-    Returns, per curve, its syzygy degree a, or the message of the
-    ``DegenerateConfiguration`` that ``min_syzygy_degree`` raises for it.
+    ``pts[c, j]`` is a point of curve c at parameter ``t[c, j]``, any nonzero
+    multiple of phi(t_j) for a parametrization phi of degree d. A syzygy s
+    of degree e kills phi exactly when s(t_j) . pts[j] = 0 at d+e+1 of the
+    points, since s . phi has degree d+e; scaling a point does not change
+    that. So the syzygies of degree e are the nullspace of the evaluation
+    matrix with rows pts[j][i] * t_j**k, k = 0..e, on the first d+e+1 points.
+
+    For a coprime parametrization of degree d, Hilbert-Burch makes the
+    syzygy module free, R(-a) + R(-b) with a + b = d (the mu-basis of the
+    curve), so degree e has max(0, e-a+1) + max(0, e-b+1) syzygies. At
+    e = floor((d-1)/2) the second term vanishes, so the nullity there gives
+    a = e + 1 - nullity, or a = d/2 when the nullity is 0. The nullity at
+    e = b must then be b - a + 2. The two counts together accept exactly a
+    degree-d curve of type (a, b); points of a curve of lower degree (a
+    common factor, or a degenerate draw) give an impossible nullity or a
+    mismatch.
+
+    Returns, per curve, its syzygy degree a, or the reason it was rejected.
     Both nullities are read off one run of ``_basis_degrees`` over the first
     2d+1 points of every curve: at e = floor((d-1)/2) after d+e+1 points,
     and at e = b after d+b+1.

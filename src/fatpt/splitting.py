@@ -40,8 +40,8 @@ again (the cokernel verifier takes it as an argument).
 ``splittings_of`` is the same decision under the seed rule shared by the
 commands and the cokernel and Betti layers.
 
-``predict_splitting`` is the deterministic conjecture: among the allowed
-(a, b) it returns the most balanced pair whose genus-like score
+``predict_report`` is the deterministic conjecture: among the allowed
+(a, b) its type is the most balanced pair whose genus-like score
 (a-1)(a-2)/2 + (b-1)(b-2)/2 is at least the defect sum of the conjugate point
 classes, a quantity computable from forced types and recursive splittings.
 """
@@ -379,7 +379,16 @@ def splitting_types(classes, p: int, seed, trials: int = 3) -> list[tuple[Splitt
     forces the type, else ``compute_splittings`` with this exact seed
     (marked provisional). The classes that need a draw are drawn together,
     each once, in the given order; a class's draws depend on its own seed
-    only, so the types are those the classes get one at a time."""
+    only, so the types are those the classes get one at a time.
+
+    Every class must be exceptional. A forced type is returned without
+    checking the class; only ``compute_splittings`` rejects one that is not.
+    E.E = -1 and K.E = -1 do not make a class exceptional:
+    5;3,3,1,1,1,1,1,1,1,1 passes both, its reduction does not end at a
+    point, and it gets the forced (2, 3). So every caller checks the class
+    first (``split_bounds``, ``cok_dimension``'s ``reduction_to_point``) or
+    takes it from the lattice (``weyl.enumerate_exceptional``, the
+    components of ``linsys.decompose``, the Weyl images of the E_i)."""
     classes = list(classes)
     forced = {e: forced_type(e.t, max(e.m)) for e in classes}
     todo = [e for e, st in forced.items() if st is None]
@@ -395,7 +404,8 @@ def splittings_of(
 ) -> list[tuple[SplittingType, bool]]:
     """``splitting_types`` under the seed rule of the commands, the cokernel
     verifier and the Betti assembly: the randomized draws use
-    derive_seed(seed, 757)."""
+    derive_seed(seed, 757). The classes must be exceptional, as there: a
+    forced type comes back unchecked."""
     return splitting_types(classes, p, derive_seed(seed, _COMMAND_STREAM), trials)
 
 
@@ -476,11 +486,3 @@ def predict_report(
     rejected = tuple((st, _score(st)) for st in cands if _score(st) < ds)
     return SplitPrediction(best, ds, _score(best), rejected, provisional)
 
-
-def predict_splitting(
-    c: DivisorClass,
-    p: int = DEFAULT_PRIME,
-    seed=DEFAULT_SEED,
-    trials: int = 3,
-) -> SplittingType:
-    return predict_report(c, p, seed, trials).type

@@ -1,17 +1,20 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import fatpt
-from fatpt import cli, linsys, splitting
+from fatpt import cli, errors, linsys, splitting
 from fatpt.cli import run
 from fatpt.cokernel import MuVerdict
-from fatpt.lattice import format_class, parse_class
-from fatpt.splitting import SplittingType
+from fatpt.errors import InputError
+from fatpt.lattice import canonical_class, format_class, intersect, parse_class, selfint
+from fatpt.splitting import SplittingType, compute_splittings
+from fatpt.weyl import is_exceptional
 
 
 def run_json(capsys, argv):
@@ -330,9 +333,12 @@ GOLDEN_REPORTS = [
     ('resolution --mults 48,33x3,32x3,24,16', 0, "fd6f4942e06422890b2053fed8070fbfd891e7939b7683a63df95e66f82a2101"),
     ('resolution --mults 3,3,2,1,1', 0, "5afc7543c90d8656553d3117c3f6e09c56b308121b0b136413f7108abb959201"),
     ('resolution --mults 50,50,38,38,26,26,22,18,14,14 --format tsv', 0, "83d142d55553164e494c5952a96d5a91a0da76b56b9e2f2a65ee4c3e9745b6bc"),
-    # An interval cell (lo..hi) and an unknown cell (?).
+    # An interval cell (lo..hi, a [lo, hi] array in JSON) and an unknown
+    # cell (?, null in JSON).
     ('resolution --mults 30,28,20,18,18,14,11,9,5,4,2 --format tsv', 0, "cf1bdd8bb2fea1608404824af4dc5642de2f772fb14ab9b41e0dc6ae9fbb8db8"),
+    ('resolution --mults 30,28,20,18,18,14,11,9,5,4,2', 0, "880ec462212669ce0fcd2fdb37cf157b7b08fae465ed4b256bf9cffb67affb06"),
     ('resolution --mults 30,20,19,18,12,5 --format tsv', 0, "9071fc075bc0b4905860d514d9e7de5c68b1c16c81a3ff59dce020b54185efff"),
+    ('resolution --mults 30,20,19,18,12,5', 0, "0ffe2c0b3bcfdc607b806b826087d571d72e9c654e1a795f1724c85970dc1a1b"),
     ('reduce --class 209;77,77,77,77,77,77,77,44,11,11,11', 0, "2e67846b2d98da24e90edfba185763c239710fbe5a48569d4d5361b493d2fae4"),
     ('decompose --class 3;2,2,-2', 0, "54713c39fe905b602ca119b61e0f5f7c3160a62e67bbfd88cc388c0ba6dd3514"),
     ('split --class 13;5,5,5,5,5,5,4,1,1,1,1 --prime 1009 --seed 7', 0, "ed6ad48ce45b54ece8ab1d55f9741e4a96c24882fab05d6202dbd7ff5f3ebfbf"),
@@ -419,6 +425,49 @@ def test_invalid_inputs_exit_2(capsys):
     assert "empty range" in capsys.readouterr().err
     assert run(["split", "--class", "2;1,1"]) == 2
     capsys.readouterr()
+
+
+def test_every_error_maps_to_its_documented_exit_code(capsys, monkeypatch):
+    # Each exception class that fatpt.errors defines, raised by a handler,
+    # ends in the exit code the errors docstring gives it, with its message
+    # on stderr, and never in a traceback.
+    documented = {getattr(errors, name): int(code) for name, code in re.findall(r"(\w+) -> (\d)", errors.__doc__)}
+    defined = [v for v in vars(errors).values() if isinstance(v, type) and v.__module__ == errors.__name__]
+    codes = {}
+    for cls in defined:
+
+        def handler(args, cls=cls):
+            raise cls(f"raised {cls.__name__}")
+
+        monkeypatch.setitem(cli._HANDLERS, "reduce", handler)
+        codes[cls] = run(["reduce", "--class", "1;1,1"])
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"raised {cls.__name__}\n")
+    assert codes == documented == {errors.InputError: 2, errors.InfeasibleError: 1, errors.ConjectureViolation: 3}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["split"], ["predict-split"], ["verify-cokernel", "--m", "3", "--method", "both"]],
+    ids=["split", "predict-split", "verify-cokernel"],
+)
+def test_forced_degree_non_exceptional_class_exits_2(capsys, argv):
+    # E.E = -1 and K.E = -1, and the degree forces a type (5 <= 2*3 + 1),
+    # but the reduction does not end at a point: the class is not
+    # exceptional. splittings_of would hand it the forced (2, 3) unchecked,
+    # so the commands that take a class reject it first.
+    cls = "5;3,3,1,1,1,1,1,1,1,1"
+    e = parse_class(cls)
+    assert selfint(e) == -1 == intersect(canonical_class(e.n), e) and not is_exceptional(e)
+    with pytest.raises(InputError, match="is not an exceptional class"):
+        compute_splittings([e])
+    assert run([argv[0], "--class", cls, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    if argv[0] == "predict-split":
+        assert err == f"error: prediction needs c.c = 1 or an exceptional class, got {cls}\n"
+    else:
+        assert err == f"error: {cls} is not an exceptional class\n"
+    assert out == ""
 
 
 def test_argparse_failures_exit_2(capsys):

@@ -4,8 +4,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fatpt import _kernels, exactla
-from fatpt.errors import DegenerateConfiguration, InputError
-from fatpt.exactla import DEFAULT_PRIME, check_prime, is_prime, min_syzygy_degree, syzygy_degrees
+from fatpt.errors import InputError
+from fatpt.exactla import DEFAULT_PRIME, check_prime, is_prime, syzygy_degrees
 from test_splitting import _coprime, _evaluate, _form_comb, _form_mul
 
 
@@ -364,19 +364,24 @@ def test_forward_stops_the_pivot_search(case, stop):
 
 
 def _points(forms, p):
-    """min_syzygy_degree's input for the forms: their values at the 2d+1
-    parameters t = 0, 1, ..., 2d."""
+    """syzygy_degrees' input for one curve given by forms: their values at
+    the 2d+1 parameters t = 0, 1, ..., 2d, as arrays."""
     d = len(forms[0]) - 1
-    t = list(range(2 * d + 1))
-    return t, [_evaluate(forms, tj, p) for tj in t], d, p
+    t = np.arange(2 * d + 1)
+    return t, np.array([_evaluate(forms, tj, p) for tj in t], dtype=np.int64), d, p
 
 
-def test_min_syzygy_degree_examples():
+def _syzygy_degree(t, pts, d, p):
+    """syzygy_degrees of a stack of one: the degree a, or the reason."""
+    return syzygy_degrees(t[None], pts[None], d, p)[0]
+
+
+def test_syzygy_degrees_examples():
     p = 31991
     # (u, v, u + v) has a linear syzygy in degree 0: 1*u + 1*v - 1*(u+v).
-    assert min_syzygy_degree(*_points([[0, 1], [1, 0], [1, 1]], p)) == 0
+    assert _syzygy_degree(*_points([[0, 1], [1, 0], [1, 1]], p)) == 0
     # (u^2, v^2, uv): no degree-0 relation, degree 1 works.
-    assert min_syzygy_degree(*_points([[0, 0, 1], [1, 0, 0], [0, 1, 0]], p)) == 1
+    assert _syzygy_degree(*_points([[0, 0, 1], [1, 0, 0], [0, 1, 0]], p)) == 1
 
 
 def _syzygy_degree_scan(forms, p):
@@ -490,8 +495,8 @@ def test_interpolation_nullities_match_rank(case):
         (([0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]), 1),  # odd d
     ],
 )
-def test_min_syzygy_degree_frozen_cases(forms, a):
-    assert min_syzygy_degree(*_points(forms, 31991)) == a
+def test_syzygy_degrees_frozen_cases(forms, a):
+    assert _syzygy_degree(*_points(forms, 31991)) == a
     assert _syzygy_degree_scan(forms, 31991) == a
 
 
@@ -502,7 +507,7 @@ def test_min_syzygy_degree_frozen_cases(forms, a):
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150)
-def test_min_syzygy_degree_matches_scan(p, d, data, seed):
+def test_syzygy_degrees_match_scan(p, d, data, seed):
     # Build the triple as the minors of two random columns of degrees a and
     # d - a, so that every a in 0..d/2 is exercised, not only the balanced
     # type of a generic triple. At p = 7 the 2d+1 parameters need d <= 3.
@@ -515,32 +520,31 @@ def test_min_syzygy_degree_matches_scan(p, d, data, seed):
 
     forms = _minors(column(a), column(d - a), p)
     assume(all(forms))
+    got = _syzygy_degree(*_points(forms, p))
     if _coprime(forms, p):
-        assert min_syzygy_degree(*_points(forms, p)) == _syzygy_degree_scan(forms, p)
+        assert got == _syzygy_degree_scan(forms, p)
     else:
-        with pytest.raises(DegenerateConfiguration):
-            min_syzygy_degree(*_points(forms, p))
+        assert isinstance(got, str)
 
 
-def test_min_syzygy_degree_reads_two_nullities():
+def test_syzygy_degrees_read_two_nullities():
     rng = np.random.default_rng(17)
     p = 31991
     forms = [[int(v) for v in rng.integers(1, p, size=10)] for _ in range(3)]
     t, pts, d, _ = _points(forms, p)
-    assert min_syzygy_degree(t, pts, d, p) == 4
+    assert _syzygy_degree(t, pts, d, p) == 4
     # e = 4 on 9 + 4 + 1 points, then e = b = 5 on 9 + 5 + 1 points: the
     # recursion's counts are the nullities of those evaluation matrices.
-    degs = exactla._basis_degrees(np.array([t]), np.array([pts]), p)[0]
+    degs = exactla._basis_degrees(t[None], pts[None], p)[0]
     for n, e, nullity in ((14, 4, 1), (15, 5, 3)):
-        assert np.maximum(0, e - degs[n] + 1).sum() == nullity == _evaluation_nullity(t[:n], pts[:n], e, p)
+        assert np.maximum(0, e - degs[n] + 1).sum() == nullity == _evaluation_nullity(t[:n], pts[:n].tolist(), e, p)
     stack = np.array([pts, np.roll(pts, 1, axis=1), pts]) % p
     assert syzygy_degrees(np.array([t] * 3), stack, d, p) == [4, 4, 4]
 
 
 def test_syzygy_degrees_of_a_mixed_stack():
     # Curves of types (1, 4), (2, 3) and (1, 4), with one rejected: each
-    # gets what min_syzygy_degree gives it alone, and the rejected curve the
-    # message it raises.
+    # gets what it gets in a stack of one, the rejected curve its reason.
     p = 31991
     quintics = [
         ([0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]),  # (1, 4)
@@ -551,14 +555,8 @@ def test_syzygy_degrees_of_a_mixed_stack():
     t = np.array([_points(forms, p)[0] for forms in quintics])
     pts = np.array([_points(forms, p)[1] for forms in quintics])
     got = syzygy_degrees(t, pts, 5, p)
-    expected = []
-    for forms in quintics:
-        try:
-            expected.append(min_syzygy_degree(*_points(forms, p)))
-        except DegenerateConfiguration as exc:
-            expected.append(str(exc))
     assert got[:3] == [1, 2, 1] and "expected 7 for type (0,5)" in got[3]
-    assert got == expected
+    assert got == [_syzygy_degree(*_points(forms, p)) for forms in quintics]
 
 
 @pytest.mark.parametrize(
@@ -568,36 +566,26 @@ def test_syzygy_degrees_of_a_mixed_stack():
         lambda t, pts, p: np.zeros((len(t), t.shape[1] + 1, 3), dtype=np.int64),
     ],
 )
-def test_min_syzygy_degree_rejects_impossible_nullity(monkeypatch, fake_degrees):
+def test_syzygy_degrees_reject_impossible_nullity(monkeypatch, fake_degrees):
     # No syzygy at all at odd d (degrees past every e), or a nullity above
     # e + 1 (all degrees 0), cannot come from a curve of degree d.
     monkeypatch.setattr(exactla, "_basis_degrees", fake_degrees)
     forms = ([0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0])
-    with pytest.raises(DegenerateConfiguration):
-        min_syzygy_degree(*_points(forms, 31991))
+    assert "impossible" in _syzygy_degree(*_points(forms, 31991))
 
 
-def test_min_syzygy_rejects_common_factor():
+def test_syzygy_degrees_reject_common_factor():
     p = 31991
     # (u, u, u): the points all lie at (1, 1, 1), a curve of degree 0; the
-    # first rank shows an impossible nullity.
-    with pytest.raises(DegenerateConfiguration, match="impossible"):
-        min_syzygy_degree(*_points([[0, 1]] * 3, p))
+    # first count finds 2 syzygies of degree 0, so a = -1.
+    assert _syzygy_degree(*_points([[0, 1]] * 3, p)) == (
+        "syzygy nullity 2 at degree 0 is impossible for a curve of degree 1"
+    )
     # u * (u^2, v^2, uv): a conic of type (1, 1) read as a cubic. The first
-    # rank reads a = 0, and the second, at e = 3, finds 6 syzygies, not 5.
-    with pytest.raises(DegenerateConfiguration, match="expected 5"):
-        min_syzygy_degree(*_points([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], p))
-
-
-def test_min_syzygy_degree_rejects_bad_input():
-    p = 31991
-    t, pts, d, _ = _points([[0, 0, 1], [1, 0, 0], [0, 1, 0]], p)
-    with pytest.raises(InputError, match="distinct"):
-        min_syzygy_degree(t[:4], pts[:4], d, p)
-    with pytest.raises(InputError, match="distinct"):
-        min_syzygy_degree([0, 1, 2, 3, p], pts, d, p)
-    with pytest.raises(InputError, match="one point"):
-        min_syzygy_degree(t, [row[:2] for row in pts], d, p)
+    # count reads a = 0, and the second, at e = 3, finds 6 syzygies, not 5.
+    assert _syzygy_degree(*_points([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], p)) == (
+        "syzygy nullity 6 at degree 3, expected 5 for type (0,3)"
+    )
 
 
 def test_default_prime_value():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatpt import _kernels, exactla, splitting
-from fatpt.errors import DegenerateConfiguration, InfeasibleError, InputError
+from fatpt.errors import InfeasibleError, InputError
 from fatpt.lattice import DivisorClass, intersect, line_class, parse_class
 from fatpt.splitting import (
     DEFAULT_SEED,
@@ -20,7 +20,6 @@ from fatpt.splitting import (
     forced_type,
     parametrize,
     predict_report,
-    predict_splitting,
     split_bounds,
     splittings_of,
     splitting_types,
@@ -113,9 +112,14 @@ def test_computed_type_always_allowed():
 # parametrization of the final line, as binary forms, dividing out the gcd of
 # the three forms after each undo, then reading the syzygy degree off the
 # forms' coefficients. It is kept here, in plain Python lists, as the
-# reference for the point route of ``parametrize`` and ``min_syzygy_degree``.
-# A form sum_i c_i u^i v^(d-i) is the list [c_0, ..., c_d]; the zero form is
-# [], so that a zero form is never mistaken for a constant.
+# reference for the point route of ``parametrize`` and
+# ``exactla.syzygy_degrees``. A form sum_i c_i u^i v^(d-i) is the list
+# [c_0, ..., c_d]; the zero form is [], so that a zero form is never mistaken
+# for a constant.
+
+
+class _Rejected(Exception):
+    """The form route rejects a draw, with the reason."""
 
 
 def _form(coeffs, p):
@@ -216,15 +220,15 @@ def _degrees_before_cremonas(e, word):
 
 def _reference_parametrize(e, pts, p):
     """Forms of the plane image of e through the points ``pts`` (an (n, 3)
-    array), by the form route; raises DegenerateConfiguration where a
+    array), by the form route; raises _Rejected where a
     component vanishes or a degree drops."""
     word, _ = line_reduction(e)
     final, mats, reason = _replay_points_reference(word, pts, p)
     if reason:
-        raise DegenerateConfiguration(reason)
+        raise _Rejected(reason)
     phi = [_form([final[1][i], final[0][i]], p) for i in range(3)]
     if not all(phi):
-        raise DegenerateConfiguration("degenerate final line")
+        raise _Rejected("degenerate final line")
     for m, deg in zip(reversed(mats), reversed(_degrees_before_cremonas(e, word))):
         psi = [
             _form_mul(phi[1], phi[2], p),
@@ -233,13 +237,13 @@ def _reference_parametrize(e, pts, p):
         ]
         new = [_form_comb(m[i], psi, p) for i in range(3)]
         if not all(new):
-            raise DegenerateConfiguration("parametrization component vanished")
+            raise _Rejected("parametrization component vanished")
         g = _form_gcd(_form_gcd(new[0], new[1], p), new[2], p)
         phi = [_form_divexact(f, g, p) for f in new]
         if len(phi[0]) - 1 != deg:
-            raise DegenerateConfiguration(f"degree {len(phi[0]) - 1} after undo, expected {deg}")
+            raise _Rejected(f"degree {len(phi[0]) - 1} after undo, expected {deg}")
     if len(phi[0]) - 1 != intersect(e, line_class(e.n)):
-        raise DegenerateConfiguration("parametrization degree")
+        raise _Rejected("parametrization degree")
     return phi
 
 
@@ -266,7 +270,7 @@ def _reference_once(e, pts, p):
     a = _reference_syzygy_degree(phi, p)
     st_ = SplittingType(a, d - a)
     if st_ not in candidate_pairs(d, max(e.m)):
-        raise DegenerateConfiguration(f"type {st_} outside the allowed range")
+        raise _Rejected(f"type {st_} outside the allowed range")
     return st_
 
 
@@ -287,7 +291,7 @@ def _draws(e, p, seeds):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except DegenerateConfiguration:
+    except _Rejected:
         return "degenerate"
 
 
@@ -340,7 +344,7 @@ def _both_reject(e, pts, p, monkeypatch):
     """Both routes reject the draw ``pts``; returns whether it got past the
     forward replay, so that only the checks of the undo could reject it."""
     pts = np.asarray(pts, dtype=np.int64) % p
-    with pytest.raises(DegenerateConfiguration):
+    with pytest.raises(_Rejected):
         _reference_once(e, pts, p)
     monkeypatch.setattr(splitting, "draw_points", lambda n, p, seed: pts)
     assert _draws(e, p, [0]) == ["degenerate"]
@@ -519,7 +523,7 @@ def test_predict_forced_is_exact():
     assert rep.type == SplittingType(1, 2)
     assert rep.defect == 0
     assert not rep.provisional
-    assert predict_splitting(line_class(0)) == SplittingType(0, 1)
+    assert predict_report(line_class(0)).type == SplittingType(0, 1)
 
 
 def test_predict_report_provisional_flag():
