@@ -51,6 +51,7 @@ from .splitting import (
     defect_sum,
     draw_points,
     forced_type,
+    is_provisional,
     predict_report,
     split_bounds,
     splittings_of,

@@ -37,7 +37,7 @@ from .errors import InfeasibleError, InputError
 from .exactla import DEFAULT_PRIME
 from .lattice import DivisorClass, FatPointScheme, binom2, class_of, intersect, line_class, point_class
 from .linsys import alpha_degree, decompose, expected_h0, expected_h1, fixed_part, pull_back
-from .splitting import DEFAULT_SEED, SplittingType, splittings_of
+from .splitting import DEFAULT_SEED, SplittingType, is_provisional, splittings_of
 from .weyl import is_exceptional, reduce
 
 EXACT = "Exact"
@@ -89,7 +89,7 @@ def _price_components(comps, base: DivisorClass, p: int, seed):
     """Price fixed components (C_j, c_j) through their splitting types.
 
     Clips each exponent at k_j = min(c_j, L.C_j) and returns (total, clipped,
-    info, provisional, flag): total = sum_j binom2(k_j - a_j) + binom2(k_j - b_j),
+    info, flag): total = sum_j binom2(k_j - a_j) + binom2(k_j - b_j),
     clipped = base + sum_j k_j C_j, info the (C_j, c_j, k_j, type) rows, and
     flag CONJECTURAL when some component leaves the proven range
     (``proven_case``). The types come from one request for all components.
@@ -97,18 +97,15 @@ def _price_components(comps, base: DivisorClass, p: int, seed):
     total = 0
     clipped = base
     info = []
-    prov = []
     conjectural = False
-    for (cls, c), (st, provisional) in zip(comps, splittings_of([cls for cls, _ in comps], p, seed)):
+    for (cls, c), st in zip(comps, splittings_of([cls for cls, _ in comps], p, seed)):
         k = min(c, cls.t)
         total += predicted_cokernel(k, st)
         clipped = clipped + k * cls
         info.append((cls, c, k, st))
-        if provisional:
-            prov.append(cls)
         if not proven_case(cls, k, st):
             conjectural = True
-    return total, clipped, tuple(info), tuple(prov), CONJECTURAL if conjectural else EXACT
+    return total, clipped, tuple(info), CONJECTURAL if conjectural else EXACT
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,6 @@ class AlphaOneResult:
     path: str
     flag: str
     components: tuple[tuple[DivisorClass, int, SplittingType], ...] = ()
-    provisional: tuple[DivisorClass, ...] = ()
 
 
 def betti_alpha_plus_one(
@@ -152,10 +148,10 @@ def betti_alpha_plus_one(
     pres = line_presentation(z)
     if pres is not None and pres[1]:
         h, comps = pres
-        total, m_clip, info, prov, flag = _price_components(comps, 2 * line_class(z.n) + h, p, seed)
+        total, m_clip, info, flag = _price_components(comps, 2 * line_class(z.n) + h, p, seed)
         total += h0_next - expected_h0(m_clip)
         info = tuple((cls, c, st) for cls, c, _, st in info)
-        return AlphaOneResult(total, None, "decomposition", flag, info, prov)
+        return AlphaOneResult(total, None, "decomposition", flag, info)
 
     if expected_h1(f) > 0:
         return AlphaOneResult(None, None, "unknown", UNKNOWN)
@@ -184,7 +180,6 @@ class ExpectedBetti:
     value: int
     flag: str
     components: tuple[tuple[DivisorClass, int, int, SplittingType], ...]
-    provisional: tuple[DivisorClass, ...]
 
 
 def expected_betti(
@@ -204,11 +199,9 @@ def expected_betti(
     dec = decompose(class_of(z, i - 2))
     if dec is None:
         raise InfeasibleError(f"class at degree {i - 2} is not effective")
-    total, clipped, info, prov, flag = _price_components(
-        dec.components, 2 * line_class(z.n) + dec.h, p, seed
-    )
+    total, clipped, info, flag = _price_components(dec.components, 2 * line_class(z.n) + dec.h, p, seed)
     value = expected_h0(class_of(z, i)) - expected_h0(clipped) + total
-    return ExpectedBetti(i, value, flag, info, prov)
+    return ExpectedBetti(i, value, flag, info)
 
 
 @dataclass(frozen=True)
@@ -221,7 +214,6 @@ class BoundComponent:
     c1: int
     c2: int
     splitting: SplittingType
-    provisional: bool
 
 
 @dataclass(frozen=True)
@@ -270,12 +262,12 @@ def bettibound_data(
         raise InfeasibleError(f"fixed components appear from nowhere at degree {t} for {z}")
 
     comps = []
-    for (cls, c), (st, provisional) in zip(prev, splittings_of([cls for cls, _ in prev], p, seed)):
+    for (cls, c), st in zip(prev, splittings_of([cls for cls, _ in prev], p, seed)):
         d = cls.t
         c1 = cur.get(cls, 0)
         c2 = nxt.get(cls, 0)
         assert c >= c1 >= c2 >= 0 and c - c1 <= d, "fixed exponents out of range"
-        comps.append(BoundComponent(cls, d, c, c1, c2, st, provisional))
+        comps.append(BoundComponent(cls, d, c, c1, c2, st))
     return BettiBoundData(z, t, tuple(comps))
 
 
@@ -358,7 +350,7 @@ def assemble_resolution(
         return e.get(t, 0) if t >= a else 0
 
     ap1 = betti_alpha_plus_one(z, p, seed)
-    prov = set(ap1.provisional)
+    priced = {comp[0] for comp in ap1.components}
     entries = []
     for i in range(a, i_max + 1):
         if i == a:
@@ -370,7 +362,7 @@ def assemble_resolution(
         else:
             eb = expected_betti(z, i, p, seed)
             g, gint, flag = eb.value, None, eb.flag
-            prov.update(eb.provisional)
+            priced.update(comp[0] for comp in eb.components)
         d3 = ev(i) - 3 * ev(i - 1) + 3 * ev(i - 2) - ev(i - 3)
         if g is not None:
             s, sint = g - d3, None
@@ -383,7 +375,8 @@ def assemble_resolution(
         entries.append(BettiEntry(i, g, gint, s, sint, flag))
 
     assert entries[0].syzygies == 0, "syzygies cannot start at alpha"
-    return ResolutionTable(z, a, reg, tuple(entries), ap1.path, tuple(sorted(prov, key=str)))
+    prov = sorted(filter(is_provisional, priced), key=str)
+    return ResolutionTable(z, a, reg, tuple(entries), ap1.path, tuple(prov))
 
 
 def check_hilbert_consistency(table: ResolutionTable) -> None:

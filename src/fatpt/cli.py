@@ -39,6 +39,7 @@ from .linsys import alpha_degree, decompose, hilbert, sanity_check_decomposition
 from .splitting import (
     DEFAULT_SEED,
     forced_type,
+    is_provisional,
     predict_report,
     split_bounds,
     splittings_of,
@@ -220,7 +221,8 @@ def _cmd_decompose(args):
 def _cmd_split(args):
     e = parse_class(args.cls)
     bounds = split_bounds(e)
-    (st, provisional), = splittings_of([e], args.prime, args.seed, args.trials)
+    st, = splittings_of([e], args.prime, args.seed, args.trials)
+    provisional = is_provisional(e)
     report = _base_report(args, conjectural=False, provisional=(e,) if provisional else ())
     report.update(
         {
@@ -274,9 +276,7 @@ def _cmd_verify_cokernel(args):
         )
     first = verdicts[0]
     agree = all(v.match for v in verdicts) and len({v.computed for v in verdicts}) == 1
-    report = _base_report(
-        args, conjectural=False, provisional=(e,) if first.provisional else ()
-    )
+    report = _base_report(args, conjectural=False, provisional=(e,) if is_provisional(e) else ())
     report.update(
         {
             "class": format_class(e),
@@ -348,14 +348,9 @@ def _enumerate_json(report: dict) -> str:
 def _cmd_sweep(args):
     classes = enumerate_exceptional(args.max_degree)
     classified = splittings_of(classes, args.prime, args.seed, args.trials)
-    escapes = []
-    provisional = []
-    for e, (st, prov) in zip(classes, classified):
-        # A class whose cokernel at m = b is outside the proven cases escapes.
-        if prov:
-            provisional.append(e)
-        if not proven_case(e, st.b, st):
-            escapes.append((e, st))
+    # A class whose cokernel at m = b is outside the proven cases escapes.
+    escapes = [(e, st) for e, st in zip(classes, classified) if not proven_case(e, st.b, st)]
+    provisional = [e for e in classes if is_provisional(e)]
     rows = [
         {"class": format_class(e), "degree": e.t, "a": st.a, "b": st.b}
         for e, st in escapes

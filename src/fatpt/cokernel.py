@@ -80,7 +80,6 @@ from .splitting import (
     candidate_pairs,
     derive_seed,
     draw_points,
-    forced_type,
     splittings_of,
 )
 from .weyl import apply_word, reduction_to_point
@@ -249,12 +248,7 @@ def mu_rank_oracle(
 class MuVerdict:
     """Outcome of one cokernel verification."""
 
-    cls: DivisorClass
-    m: int
-    prime: int
-    seed: int
     splitting: SplittingType
-    provisional: bool
     predicted: int
     computed: int
     method: str
@@ -395,8 +389,8 @@ def cok_dimension(
     """Computed and predicted dim coker mu for the system L + mE. The
     prediction uses ``splitting``, the class's type as its caller already
     holds it; when None, the type comes from a one-class ``splittings_of``
-    request. The verdict is provisional when the type is not forced, the
-    rule ``splitting_types`` marks its types by."""
+    request. ``splitting.is_provisional`` says whether that type is
+    provisional."""
     check_prime(p)
     word = reduction_to_point(e)
     d = e.t
@@ -407,7 +401,7 @@ def cok_dimension(
     if method not in ("formula", "oracle"):
         raise InputError(f"unknown method {method!r}")
     if splitting is None:
-        (splitting, _), = splittings_of([e], p, seed)
+        splitting, = splittings_of([e], p, seed)
     elif splitting not in candidate_pairs(d, max(e.m)):
         raise InputError(f"splitting type {splitting} is not an allowed type of {e}")
     predicted = predicted_cokernel(m, splitting)
@@ -423,5 +417,4 @@ def cok_dimension(
         # The oracle is for small instances: its own 2000 cap bounds the
         # matrices it builds, whatever the formula route's ceiling.
         computed = mu_rank_oracle(pts, z, t, p, max_dim=min(ceiling, 2000))
-    provisional = forced_type(d, max(e.m)) is None
-    return MuVerdict(e, m, p, int(seed), splitting, provisional, predicted, computed, method)
+    return MuVerdict(splitting, predicted, computed, method)

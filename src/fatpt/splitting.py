@@ -31,13 +31,15 @@ one recursion over the stack. A rejected draw carries the reason its first
 failing check gives and is drawn again under its trial's next seed, so
 every trial sees the draws, and casts the vote, it would alone.
 
-``splitting_types`` is the single place that decides between the two: the
-closed form when the degree forces the type, else ``compute_splittings``
-(marked provisional), with the classes that need draws drawn together. It
+``is_provisional`` is the one rule between the two: a class whose degree
+does not force its type is drawn, and its type is provisional. It reads the
+class alone, so no type carries the flag with it. ``splitting_types`` applies
+it: the closed form when the degree forces the type, else
+``compute_splittings``, with the classes that need draws drawn together. It
 takes any iterable of classes, one class being a list of one, and keeps no
 state: a caller that already holds a type passes it on rather than asking
 again (the cokernel verifier takes it as an argument).
-``splittings_of`` is the same decision under the seed rule shared by the
+``splittings_of`` is the same request under the seed rule shared by the
 commands and the cokernel and Betti layers.
 
 ``predict_report`` is the deterministic conjecture: among the allowed
@@ -130,6 +132,13 @@ def forced_type(d: int, m: int) -> SplittingType | None:
     """The unique allowed type when d <= 2m+1, else None."""
     lo, hi = _type_range(d, m)
     return SplittingType(lo, d - lo) if lo == hi else None
+
+
+def is_provisional(e: DivisorClass) -> bool:
+    """Whether the type of the exceptional class e is drawn rather than
+    forced: its degree exceeds 2m+1, m the maximal multiplicity, exactly
+    when ``forced_type`` gives None."""
+    return e.t > 2 * max(e.m) + 1
 
 
 def _inv3(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -374,10 +383,10 @@ def compute_splittings(
     return [max(res, key=lambda st: st.a) for res in results]
 
 
-def splitting_types(classes, p: int, seed, trials: int = 3) -> list[tuple[SplittingType, bool]]:
-    """(type, provisional) of each class: the closed form when the degree
-    forces the type, else ``compute_splittings`` with this exact seed
-    (marked provisional). The classes that need a draw are drawn together,
+def splitting_types(classes, p: int, seed, trials: int = 3) -> list[SplittingType]:
+    """The type of each class: the closed form when the degree forces it,
+    else ``compute_splittings`` with this exact seed; ``is_provisional``
+    tells the two apart. The classes that need a draw are drawn together,
     each once, in the given order; a class's draws depend on its own seed
     only, so the types are those the classes get one at a time.
 
@@ -390,10 +399,9 @@ def splitting_types(classes, p: int, seed, trials: int = 3) -> list[tuple[Splitt
     takes it from the lattice (``weyl.enumerate_exceptional``, the
     components of ``linsys.decompose``, the Weyl images of the E_i)."""
     classes = list(classes)
-    forced = {e: forced_type(e.t, max(e.m)) for e in classes}
-    todo = [e for e, st in forced.items() if st is None]
+    todo = list(dict.fromkeys(e for e in classes if is_provisional(e)))
     drawn = dict(zip(todo, compute_splittings(todo, p, seed, trials))) if todo else {}
-    return [(drawn[e], True) if e in drawn else (forced[e], False) for e in classes]
+    return [drawn[e] if e in drawn else forced_type(e.t, max(e.m)) for e in classes]
 
 
 _COMMAND_STREAM = 757
@@ -401,10 +409,11 @@ _COMMAND_STREAM = 757
 
 def splittings_of(
     classes, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED, trials: int = 3
-) -> list[tuple[SplittingType, bool]]:
+) -> list[SplittingType]:
     """``splitting_types`` under the seed rule of the commands, the cokernel
     verifier and the Betti assembly: the randomized draws use
-    derive_seed(seed, 757). The classes must be exceptional, as there: a
+    derive_seed(seed, 757), and a type is provisional when
+    ``is_provisional`` says so. The classes must be exceptional, as there: a
     forced type comes back unchecked."""
     return splitting_types(classes, p, derive_seed(seed, _COMMAND_STREAM), trials)
 
@@ -417,22 +426,14 @@ def defect_sum(
     trials: int = 3,
 ) -> int:
     """sum_i binom2(a_i) + binom2(b_i) over the splitting types of the
-    conjugate point classes w(E_1), ..., w(E_n)."""
-    return _defect_pass(w, n, p, seed, trials)[0]
-
-
-def _defect_pass(w: tuple[int, ...], n: int, p: int, seed, trials: int) -> tuple[int, bool]:
-    """(defect sum, whether any conjugate type came from the randomized
-    pipeline), in one walk over the conjugate point classes; degree-0
-    classes contribute nothing."""
+    conjugate point classes w(E_1), ..., w(E_n); degree-0 classes contribute
+    nothing."""
     total = 0
-    provisional = False
     for i, c in enumerate(exceptional_points(w, n)):
         if c.t:
-            (st, prov), = splitting_types([c], p, derive_seed(seed, 101, i), trials)
+            st, = splitting_types([c], p, derive_seed(seed, 101, i), trials)
             total += binom2(st.a) + binom2(st.b)
-            provisional = provisional or prov
-    return total, provisional
+    return total
 
 
 @dataclass(frozen=True)
@@ -476,7 +477,7 @@ def predict_report(
     cands = candidate_pairs(c.t, m)
     if len(cands) == 1:
         return SplitPrediction(cands[0], 0, _score(cands[0]), (), False)
-    ds, provisional = _defect_pass(w, c.n, p, seed, trials)
+    ds = defect_sum(w, c.n, p, seed, trials)
     feasible = [st for st in cands if _score(st) >= ds]
     if not feasible:
         raise ConjectureViolation(
@@ -484,5 +485,6 @@ def predict_report(
         )
     best = min(feasible, key=_score)
     rejected = tuple((st, _score(st)) for st in cands if _score(st) < ds)
+    provisional = any(e.t and is_provisional(e) for e in exceptional_points(w, c.n))
     return SplitPrediction(best, ds, _score(best), rejected, provisional)
 

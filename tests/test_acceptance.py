@@ -38,6 +38,7 @@ from fatpt.splitting import (
     SplittingType,
     defect_sum,
     derive_seed,
+    is_provisional,
     predict_report,
     splittings_of,
 )
@@ -191,8 +192,8 @@ def _classify_escapes(master: int):
     typed = splittings_of(classes, PRIME, master, 3)
     escapes = {
         (st.a, st.b, e.t, e.m)
-        for e, (st, provisional) in zip(classes, typed)
-        if provisional and st.b - st.a > 2
+        for e, st in zip(classes, typed)
+        if is_provisional(e) and st.b - st.a > 2
     }
     return classes, escapes
 
@@ -303,7 +304,7 @@ def test_criterion_8iv_dual_route_on_forced_types(criterion):
             a = alpha_degree(z)
             t = a + int(rng.integers(1, 3))
             data = bettibound_data(z, t)
-            if any(c.provisional for c in data.components):
+            if any(is_provisional(c.cls) for c in data.components):
                 continue
             assert data.value() == expected_betti(z, t + 1).value, (z, t)
             done += 1

@@ -17,7 +17,7 @@ from fatpt.cokernel import mu_rank_oracle
 from fatpt.errors import InputError
 from fatpt.lattice import DivisorClass, FatPointScheme, class_of, parse_class
 from fatpt.linsys import alpha_degree, expected_h0
-from fatpt.splitting import SplittingType, derive_seed
+from fatpt.splitting import SplittingType, derive_seed, is_provisional
 
 Z102 = FatPointScheme((50, 50, 38, 38, 26, 26, 22, 18, 14, 14))
 Z9 = FatPointScheme((48, 33, 33, 33, 32, 32, 32, 24, 16))
@@ -112,7 +112,7 @@ def test_bettibound_frozen_ten_points():
         parse_class("8;4,4,3,3,2,2,2,1,1,1"): 6,
     }
     assert all(c.splitting == SplittingType(4, 4) for c in data.components)
-    assert all(not c.provisional for c in data.components)
+    assert not any(is_provisional(c.cls) for c in data.components)
 
 
 def test_bettibound_frozen_nine_points_at_alpha():

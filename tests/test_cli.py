@@ -159,7 +159,7 @@ def test_verify_cokernel_needs_prime_above_matrix_degree(capsys, method, prime, 
 
 def test_verify_cokernel_mismatch_exits_3(capsys, monkeypatch):
     def fake(e, m, p, seed, method, ceiling, splitting):
-        return MuVerdict(e, m, p, seed, SplittingType(1, 2), False, 1, 2, method)
+        return MuVerdict(SplittingType(1, 2), 1, 2, method)
 
     monkeypatch.setattr("fatpt.cli.cok_dimension", fake)
     code = run(["verify-cokernel", "--class", "3;2,1,1,1,1,1,1", "--m", "3"])
@@ -359,6 +359,11 @@ GOLDEN_REPORTS = [
     ('sweep --max-degree 16 --prime 211', 0, "1ac37e79c993f0a584a11efa04805f2cc354e61cbd58314e3f71b95764eb4475"),
     ('sweep --max-degree 13 --verify --prime 29', 1, "30f692375979a573f63346d73dc967cf0c50ac5afdc56687e594ec13f5edc947"),
     ('sweep --max-degree 3 --trials 0 --ceiling 0', 2, "6586cc37c3893c0277612e0e351f615794a825c28f65b7db9f84a24416c643eb"),
+    # Reports whose provisional list is not empty: a conjugate point class
+    # that is drawn, a drawn cokernel class, and a drawn Betti component.
+    ('predict-split --class 13;5,5,5,5,5,5,4,1,1,1,1', 0, "72dd8e731ef4dbb88d3adc7f2269157a813bac7b57983e539d69164fc0036ee1"),
+    ('verify-cokernel --class 8;3,3,3,3,3,3,3,1,1 --m 5', 0, "a900ee1ab7a4d5e936e09ffbf65ba439d95ad42b1bff4a6c04880773ba5d31bf"),
+    ('resolution --mults 77x7,44,11x3', 0, "033feb27f6332872147d134cea137c6a6f241d749259653dfc53ebb5a8058f44"),
 ]
 
 

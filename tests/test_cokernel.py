@@ -20,7 +20,7 @@ from fatpt.cokernel import (
     predicted_cokernel,
     proven_case,
 )
-from fatpt.splitting import SplittingType, forced_type, splittings_of
+from fatpt.splitting import SplittingType, forced_type, is_provisional, splittings_of
 from fatpt.weyl import apply_word, enumerate_exceptional, reduction_to_point
 
 CUBIC = parse_class("3;2,1,1,1,1,1,1")
@@ -347,12 +347,12 @@ def test_draw_with_cokernel_above_prediction_is_retried(cls, p, seed):
     # matrix loses rank, so it reads more than the prediction. The next draw
     # is generic.
     e = parse_class(cls)
-    ((st, _),) = splittings_of([e], p, seed)
+    (st,) = splittings_of([e], p, seed)
     v = cok_dimension(e, st.b, p, seed)
     word = reduction_to_point(e)
-    first, info = cokernel._formula_cokernel(e, word, v.m, p, seed, DEFAULT_COLUMN_CEILING, 10**9)
+    first, info = cokernel._formula_cokernel(e, word, st.b, p, seed, DEFAULT_COLUMN_CEILING, 10**9)
     assert info["attempt"] == 0 and first > v.predicted
-    computed, info = cokernel._formula_cokernel(e, word, v.m, p, seed, DEFAULT_COLUMN_CEILING, v.predicted)
+    computed, info = cokernel._formula_cokernel(e, word, st.b, p, seed, DEFAULT_COLUMN_CEILING, v.predicted)
     assert info["attempt"] == 1 and computed == v.predicted
     assert v.computed == v.predicted and v.match
 
@@ -436,10 +436,12 @@ def test_proven_case_boundaries():
 
 
 def test_every_forced_type_is_proven():
-    # A forced type has a = d - max mult or b - a <= 1, so every m is proven.
+    # A forced type has a = d - max mult or b - a <= 1, so every m is proven;
+    # is_provisional is exactly the classes without one.
     for d in range(1, 81):
         for mm in range(d + 1):
             st = forced_type(d, mm)
+            assert is_provisional(DivisorClass(d, (mm,))) == (st is None), (d, mm)
             if st is not None:
                 e = DivisorClass(d, (mm,))
                 assert all(proven_case(e, m, st) for m in range(d + 1)), (d, mm)
@@ -450,8 +452,8 @@ def test_proven_case_escapes_match_the_unforced_unbalanced_rule():
     # that is not forced has a <= d/2 < d - max mult.
     classes = enumerate_exceptional(20)
     typed = splittings_of(classes)
-    escapes = [e for e, (st, _) in zip(classes, typed) if not proven_case(e, st.b, st)]
-    assert escapes == [e for e, (st, prov) in zip(classes, typed) if prov and st.b - st.a > 2]
+    escapes = [e for e, st in zip(classes, typed) if not proven_case(e, st.b, st)]
+    assert escapes == [e for e, st in zip(classes, typed) if is_provisional(e) and st.b - st.a > 2]
     assert len(escapes) == 25
 
 
@@ -466,8 +468,9 @@ def test_all_special_draws_name_the_last_h0(monkeypatch):
 
 
 def test_splitting_of_forced_vs_pipeline():
-    typed = splittings_of([CUBIC, parse_class("13;5,5,5,5,5,5,4,1,1,1,1")])
-    assert typed == [(SplittingType(1, 2), False), (SplittingType(5, 8), True)]
+    classes = [CUBIC, parse_class("13;5,5,5,5,5,5,4,1,1,1,1")]
+    assert splittings_of(classes) == [SplittingType(1, 2), SplittingType(5, 8)]
+    assert [is_provisional(e) for e in classes] == [False, True]
 
 
 def test_cubic_dual_route_two_seeds():
@@ -497,8 +500,8 @@ def test_both_routes_agree_on_all_small_classes():
 
 def test_medium_class_dual_route():
     e = parse_class("5;2,2,2,2,2,2,1,1")
-    ((st, provisional),) = splittings_of([e])
-    assert st == SplittingType(2, 3) and not provisional
+    (st,) = splittings_of([e])
+    assert st == SplittingType(2, 3) and not is_provisional(e)
     for m in (2, 4):
         vf = cok_dimension(e, m, method="formula")
         vo = cok_dimension(e, m, method="oracle")
@@ -536,11 +539,11 @@ def test_cok_dimension_rejects_a_type_outside_the_allowed_range():
 @pytest.mark.parametrize("cls", ["3;2,1,1,1,1,1,1", "8;3,3,3,3,3,3,3,1,1"])
 def test_cok_dimension_predicts_with_the_type_it_is_handed(cls, monkeypatch):
     # A caller that holds the type makes no draw, and gets the verdict of
-    # the one-class request; provisional is the flag splittings_of gives.
+    # the one-class request.
     e = parse_class(cls)
-    ((st, provisional),) = splittings_of([e])
+    (st,) = splittings_of([e])
     default = cok_dimension(e, 1)
-    assert default.splitting == st and default.provisional == provisional
+    assert default.splitting == st
 
     def no_draw(*args, **kwargs):
         raise AssertionError("a held type needs no draw")

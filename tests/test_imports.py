@@ -23,6 +23,24 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert crossings == []
 
 
+def test_no_unused_imports():
+    # Every name a module imports is used in it; ``__init__`` imports to
+    # re-export. A leftover import is a dependency nothing needs.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}: {bound}")
+    assert unused == []
+
+
 def _referenced_names(tree, skip, own):
     """Names a module refers to outside the subtree ``skip``: imported
     names, attributes, strings that are exactly a name (the ones

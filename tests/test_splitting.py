@@ -18,6 +18,7 @@ from fatpt.splitting import (
     derive_seed,
     draw_points,
     forced_type,
+    is_provisional,
     parametrize,
     predict_report,
     split_bounds,
@@ -447,7 +448,7 @@ def test_compute_splittings_matches_one_class_at_a_time():
     for p in (211, 31991):
         together = compute_splittings(classes, p, 5, 3)
         assert together == [compute_splittings([e], p, 5, 3)[0] for e in classes]
-        assert splitting_types(classes, p, 5, 3) == [(st, True) for st in together]
+        assert splitting_types(classes, p, 5, 3) == together
 
 
 def test_splitting_types_read_an_iterator_once():
@@ -455,7 +456,7 @@ def test_splitting_types_read_an_iterator_once():
     # the forced class by the closed form and the other one drawn.
     classes = [parse_class("3;2,1,1,1,1,1,1"), parse_class("8;3,3,3,3,3,3,3,1,1")]
     listed = splittings_of(classes)
-    assert [prov for _, prov in listed] == [False, True]
+    assert [is_provisional(e) for e in classes] == [False, True]
     assert splittings_of(e for e in classes) == listed
     assert splitting_types((e for e in classes), 31991, 5) == splitting_types(classes, 31991, 5)
 
