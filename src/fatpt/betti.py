@@ -123,7 +123,7 @@ class AlphaOneResult:
     interval: tuple[int, int] | None
     path: str
     flag: str
-    components: tuple[tuple[DivisorClass, int, SplittingType], ...] = ()
+    components: tuple[tuple[DivisorClass, int, int, SplittingType], ...] = ()
 
 
 def betti_alpha_plus_one(
@@ -150,7 +150,6 @@ def betti_alpha_plus_one(
         h, comps = pres
         total, m_clip, info, flag = _price_components(comps, 2 * line_class(z.n) + h, p, seed)
         total += h0_next - expected_h0(m_clip)
-        info = tuple((cls, c, st) for cls, c, _, st in info)
         return AlphaOneResult(total, None, "decomposition", flag, info)
 
     if expected_h1(f) > 0:
@@ -176,7 +175,6 @@ def betti_alpha_plus_one(
 class ExpectedBetti:
     """Generator count in one degree, with the pricing data that made it."""
 
-    degree: int
     value: int
     flag: str
     components: tuple[tuple[DivisorClass, int, int, SplittingType], ...]
@@ -201,7 +199,7 @@ def expected_betti(
         raise InfeasibleError(f"class at degree {i - 2} is not effective")
     total, clipped, info, flag = _price_components(dec.components, 2 * line_class(z.n) + dec.h, p, seed)
     value = expected_h0(class_of(z, i)) - expected_h0(clipped) + total
-    return ExpectedBetti(i, value, flag, info)
+    return ExpectedBetti(value, flag, info)
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,6 @@ class BoundComponent:
     """One exceptional curve with its fixed exponents at degrees t-1, t, t+1."""
 
     cls: DivisorClass
-    degree: int
     c: int
     c1: int
     c2: int
@@ -221,8 +218,6 @@ class BettiBoundData:
     """Fixed-part data of the multiplication map mu_t; value() bounds
     dim cok mu_t = g_{t+1} and is conjecturally sharp."""
 
-    scheme: FatPointScheme
-    t: int
     components: tuple[BoundComponent, ...]
 
     def value(self) -> int:
@@ -230,7 +225,7 @@ class BettiBoundData:
         for comp in self.components:
             drop = comp.c1 - comp.c2
             k = comp.c - comp.c1
-            total += comp.degree * drop - binom2(drop)
+            total += comp.cls.t * drop - binom2(drop)
             total += predicted_cokernel(k, comp.splitting)
         return total
 
@@ -263,12 +258,11 @@ def bettibound_data(
 
     comps = []
     for (cls, c), st in zip(prev, splittings_of([cls for cls, _ in prev], p, seed)):
-        d = cls.t
         c1 = cur.get(cls, 0)
         c2 = nxt.get(cls, 0)
-        assert c >= c1 >= c2 >= 0 and c - c1 <= d, "fixed exponents out of range"
-        comps.append(BoundComponent(cls, d, c, c1, c2, st))
-    return BettiBoundData(z, t, tuple(comps))
+        assert c >= c1 >= c2 >= 0 and c - c1 <= cls.t, "fixed exponents out of range"
+        comps.append(BoundComponent(cls, c, c1, c2, st))
+    return BettiBoundData(tuple(comps))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .lattice import format_class, format_mults, parse_class, parse_mults
 from .linsys import alpha_degree, decompose, hilbert, sanity_check_decomposition
 from .splitting import (
     DEFAULT_SEED,
+    DEFAULT_TRIALS,
     forced_type,
     is_provisional,
     predict_report,
@@ -86,7 +87,7 @@ def _resolve_job(args) -> None:
         raw = os.environ.get("FATPT_SEED")
         args.seed = _int_token(raw, "FATPT_SEED") if raw is not None else DEFAULT_SEED
 
-    trials = getattr(args, "trials", 3)
+    trials = getattr(args, "trials", DEFAULT_TRIALS)
     if trials < 1:
         raise InputError(f"--trials {trials}: the vote needs at least one trial")
     ceiling = getattr(args, "ceiling", DEFAULT_COLUMN_CEILING)
@@ -227,7 +228,7 @@ def _cmd_split(args):
     report.update(
         {
             "class": format_class(e),
-            "degree": st.degree,
+            "degree": e.t,
             "a": st.a,
             "b": st.b,
             "forced": not provisional,
@@ -268,7 +269,7 @@ def _cmd_verify_cokernel(args):
         verdicts.append(v)
         results.append(
             {
-                "method": v.method,
+                "method": method,
                 "computed": v.computed,
                 "predicted": v.predicted,
                 "match": v.match,
@@ -364,8 +365,7 @@ def _cmd_sweep(args):
             "escapes": rows,
         }
     )
-    code = 0
-    tsv_rows = [(r["degree"], r["class"], r["a"], r["b"], "escape") for r in rows]
+    status = ["escape"] * len(rows)
     if args.verify:
         verification = []
         for k, (e, st) in enumerate(escapes, 1):
@@ -377,17 +377,14 @@ def _cmd_sweep(args):
                 row["skipped"] = str(exc)
             sys.stderr.write(f"verified {k}/{len(escapes)}: {row['class']}\n")
             verification.append(row)
-        violations = [r for r in verification if not r.get("match", True) and "skipped" not in r]
+        status = ["skipped" if "skipped" in row else ("ok" if row["match"] else "VIOLATION") for row in verification]
         report["verification"] = verification
-        report["violations"] = len(violations)
-        if violations:
-            code = 3
-        tsv_rows = []
-        for r, row in zip(rows, verification):
-            status = "skipped" if "skipped" in row else ("ok" if row["match"] else "VIOLATION")
-            tsv_rows.append((r["degree"], r["class"], r["a"], r["b"], status))
-    tsv = (("degree", "class", "a", "b", "status"), tsv_rows)
-    return report, tsv, code
+        report["violations"] = status.count("VIOLATION")
+    tsv = (
+        ("degree", "class", "a", "b", "status"),
+        [(r["degree"], r["class"], r["a"], r["b"], s) for r, s in zip(rows, status)],
+    )
+    return report, tsv, (3 if "VIOLATION" in status else 0)
 
 
 _HANDLERS = {
@@ -438,12 +435,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("split", help="splitting type of an exceptional class")
     s.add_argument("--class", dest="cls", required=True)
-    s.add_argument("--trials", type=int, default=3)
+    s.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     _add_common(s)
 
     s = subs.add_parser("predict-split", help="defect-based splitting prediction")
     s.add_argument("--class", dest="cls", required=True)
-    s.add_argument("--trials", type=int, default=3)
+    s.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     _add_common(s)
 
     s = subs.add_parser("verify-cokernel", help="multiplication map cokernel check")
@@ -460,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("sweep", help="classify and optionally verify all types")
     s.add_argument("--max-degree", type=int, required=True)
     s.add_argument("--verify", action="store_true", help="check escapes at m = b")
-    s.add_argument("--trials", type=int, default=3)
+    s.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     s.add_argument("--ceiling", type=int, default=DEFAULT_COLUMN_CEILING)
     _add_common(s, fmt=True)
 

@@ -85,6 +85,8 @@ from .splitting import (
 from .weyl import apply_word, reduction_to_point
 
 DEFAULT_COLUMN_CEILING = 16000
+# The oracle's own cap on either dimension of the matrices it builds.
+ORACLE_MAX_DIM = 2000
 
 
 def monomial_exponents(d: int) -> np.ndarray:
@@ -209,7 +211,7 @@ def mu_rank_oracle(
     z: FatPointScheme,
     t: int,
     p: int = DEFAULT_PRIME,
-    max_dim: int = 2000,
+    max_dim: int = ORACLE_MAX_DIM,
 ) -> int:
     """dim coker of multiplication by linear forms from degree t to t+1 on
     the homogeneous ideal of the fat point scheme at the given points.
@@ -251,7 +253,6 @@ class MuVerdict:
     splitting: SplittingType
     predicted: int
     computed: int
-    method: str
 
     @property
     def match(self) -> bool:
@@ -386,11 +387,13 @@ def cok_dimension(
     ceiling: int = DEFAULT_COLUMN_CEILING,
     splitting: SplittingType | None = None,
 ) -> MuVerdict:
-    """Computed and predicted dim coker mu for the system L + mE. The
-    prediction uses ``splitting``, the class's type as its caller already
-    holds it; when None, the type comes from a one-class ``splittings_of``
-    request. ``splitting.is_provisional`` says whether that type is
-    provisional."""
+    """Computed and predicted dim coker mu for the system L + mE by
+    ``method``. The prediction uses ``splitting``, the class's type as its
+    caller already holds it; when None, the type comes from a one-class
+    ``splittings_of`` request. The verdict holds the type the prediction
+    used and the predicted and computed dimensions; e, m and the method stay
+    with the caller, and ``splitting.is_provisional(e)`` says whether the
+    type is provisional."""
     check_prime(p)
     word = reduction_to_point(e)
     d = e.t
@@ -414,7 +417,7 @@ def cok_dimension(
         t = 1 + m * d
         _check_prime_above_degree(p, t + 1)
         pts = draw_points(e.n, p, derive_seed(seed, 47))
-        # The oracle is for small instances: its own 2000 cap bounds the
-        # matrices it builds, whatever the formula route's ceiling.
-        computed = mu_rank_oracle(pts, z, t, p, max_dim=min(ceiling, 2000))
-    return MuVerdict(splitting, predicted, computed, method)
+        # The oracle is for small instances: its own cap bounds the matrices
+        # it builds, whatever the formula route's ceiling.
+        computed = mu_rank_oracle(pts, z, t, p, max_dim=min(ceiling, ORACLE_MAX_DIM))
+    return MuVerdict(splitting, predicted, computed)

@@ -49,15 +49,11 @@ class Decomposition:
     boundary: bool = False
 
     @property
-    def n_part(self) -> DivisorClass:
-        out = DivisorClass(0, (0,) * self.h.n)
+    def total(self) -> DivisorClass:
+        out = self.h
         for c, mult in self.components:
             out = out + mult * c
         return out
-
-    @property
-    def total(self) -> DivisorClass:
-        return self.h + self.n_part
 
 
 def _chamber_free(t: int, m: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -142,7 +138,6 @@ class HilbertEntry:
 
 @dataclass(frozen=True)
 class HilbertReport:
-    scheme: FatPointScheme
     alpha: int
     entries: dict[int, HilbertEntry] = field(default_factory=dict)
 
@@ -193,7 +188,7 @@ def hilbert(z: FatPointScheme, degrees=None) -> HilbertReport:
             entries[t] = HilbertEntry(0, ())
         else:
             entries[t] = HilbertEntry(chi(d.h), d.components)
-    return HilbertReport(z, a, entries)
+    return HilbertReport(a, entries)
 
 
 def fixed_part(z: FatPointScheme, t: int) -> tuple[tuple[DivisorClass, int], ...]:

@@ -63,6 +63,8 @@ from .lattice import DivisorClass, binom2, selfint
 from .weyl import CREMONA, exceptional_points, is_exceptional, line_reduction, orbit_of_line
 
 DEFAULT_SEED = 20260814
+# Independent configurations voted over per drawn class.
+DEFAULT_TRIALS = 3
 RETRY_CAP = 10
 
 
@@ -83,10 +85,6 @@ class SplittingType:
     def __post_init__(self):
         if not (0 <= self.a <= self.b):
             raise InputError(f"splitting type needs 0 <= a <= b, got ({self.a}, {self.b})")
-
-    @property
-    def degree(self) -> int:
-        return self.a + self.b
 
     def __str__(self):
         return f"({self.a},{self.b})"
@@ -138,7 +136,7 @@ def is_provisional(e: DivisorClass) -> bool:
     """Whether the type of the exceptional class e is drawn rather than
     forced: its degree exceeds 2m+1, m the maximal multiplicity, exactly
     when ``forced_type`` gives None."""
-    return e.t > 2 * max(e.m) + 1
+    return e.t > 2 * max(e.m, default=0) + 1
 
 
 def _inv3(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +334,7 @@ def _draw(draws, p: int) -> list:
 
 
 def compute_splittings(
-    classes, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED, trials: int = 3
+    classes, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED, trials: int = DEFAULT_TRIALS
 ) -> list[SplittingType]:
     """Splitting type of the plane image of each class over F_p, voted over
     ``trials`` independent configurations.
@@ -359,7 +357,7 @@ def compute_splittings(
         raise InputError(f"trials {trials}: the vote needs at least one trial")
     check_prime(p)
     classes = list(classes)
-    words = [line_reduction(e)[0] for e in classes]
+    words = [line_reduction(e) for e in classes]
     cands = [candidate_pairs(e.t, max(e.m)) for e in classes]
     results = [[None] * trials for _ in classes]
     rejected = defaultdict(Counter)
@@ -383,7 +381,7 @@ def compute_splittings(
     return [max(res, key=lambda st: st.a) for res in results]
 
 
-def splitting_types(classes, p: int, seed, trials: int = 3) -> list[SplittingType]:
+def splitting_types(classes, p: int, seed, trials: int = DEFAULT_TRIALS) -> list[SplittingType]:
     """The type of each class: the closed form when the degree forces it,
     else ``compute_splittings`` with this exact seed; ``is_provisional``
     tells the two apart. The classes that need a draw are drawn together,
@@ -408,7 +406,7 @@ _COMMAND_STREAM = 757
 
 
 def splittings_of(
-    classes, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED, trials: int = 3
+    classes, p: int = DEFAULT_PRIME, seed=DEFAULT_SEED, trials: int = DEFAULT_TRIALS
 ) -> list[SplittingType]:
     """``splitting_types`` under the seed rule of the commands, the cokernel
     verifier and the Betti assembly: the randomized draws use
@@ -423,7 +421,7 @@ def defect_sum(
     n: int,
     p: int = DEFAULT_PRIME,
     seed=DEFAULT_SEED,
-    trials: int = 3,
+    trials: int = DEFAULT_TRIALS,
 ) -> int:
     """sum_i binom2(a_i) + binom2(b_i) over the splitting types of the
     conjugate point classes w(E_1), ..., w(E_n); degree-0 classes contribute
@@ -453,7 +451,7 @@ def predict_report(
     c: DivisorClass,
     p: int = DEFAULT_PRIME,
     seed=DEFAULT_SEED,
-    trials: int = 3,
+    trials: int = DEFAULT_TRIALS,
 ) -> SplitPrediction:
     """Conjectural splitting type of a degree-d rational curve class with
     c.c = 1 (a Weyl image of the line), or of an exceptional class via its
@@ -473,8 +471,7 @@ def predict_report(
     w = orbit_of_line(c)
     if w is None:
         raise InputError(f"{c} is not in the Weyl orbit of the line")
-    m = max(c.m) if c.n else 0
-    cands = candidate_pairs(c.t, m)
+    cands = candidate_pairs(c.t, max(c.m, default=0))
     if len(cands) == 1:
         return SplitPrediction(cands[0], 0, _score(cands[0]), (), False)
     ds = defect_sum(w, c.n, p, seed, trials)

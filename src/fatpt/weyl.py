@@ -233,18 +233,17 @@ def reduction_to_point(e: DivisorClass) -> tuple[int, ...]:
     return _point_word(e) + tuple(range(max(e.n, 3) - 1, 0, -1))
 
 
-def line_reduction(e: DivisorClass) -> tuple[tuple[int, ...], DivisorClass]:
-    """Reduce an exceptional class of degree >= 1 just far enough to reach a
-    degree-1 class (the proper transform of a line through two points).
-
-    Returns (word, terminal class (1; 1, 1, 0, ..., 0)): ``reduce``'s word
-    cut before its last s_0, which sends that line to a point.
+def line_reduction(e: DivisorClass) -> tuple[int, ...]:
+    """A word sending an exceptional class of degree >= 1 to the line class
+    (1; 1, 1, 0, ..., 0) of max(n, 3) slots, the proper transform of a line
+    through two points: ``reduce``'s word cut before its last s_0, which
+    sends that line to a point.
     """
     if e.t < 1:
         raise InputError("line reduction needs a class of degree >= 1")
     word = _point_word(e)
     cut = max(i for i, g in enumerate(word) if g == CREMONA)
-    return word[:cut], DivisorClass(1, (1, 1) + (0,) * (max(e.n, 3) - 2))
+    return word[:cut]
 
 
 def exceptional_points(w: tuple[int, ...], n: int) -> list[DivisorClass]:

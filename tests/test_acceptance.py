@@ -184,7 +184,7 @@ def test_criterion_4_resolution_nine_points(criterion):
         assert table.entry(100).syzygies == 28
         ap1 = betti_alpha_plus_one(Z9)
         assert ap1.path == "decomposition"
-        assert [st for _, _, st in ap1.components] == [SplittingType(6, 6)]
+        assert [st for _, _, _, st in ap1.components] == [SplittingType(6, 6)]
 
 
 def _classify_escapes(master: int):

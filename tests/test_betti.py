@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from fatpt.betti import (
     CONJECTURAL,
     EXACT,
     INTERVAL,
+    BettiEntry,
+    ResolutionTable,
     assemble_resolution,
     betti_alpha_plus_one,
     bettibound_data,
@@ -79,13 +83,24 @@ def test_table_entry_access():
         table.entry(99)
 
 
+def test_resolution_records_keep_their_fields():
+    # perfbench/workloads.py rebuilds both records positionally from a
+    # resolution report, so their fields and order are fixed.
+    assert [f.name for f in fields(BettiEntry)] == [
+        "degree", "generators", "generators_interval", "syzygies", "syzygies_interval", "flag",
+    ]
+    assert [f.name for f in fields(ResolutionTable)] == [
+        "scheme", "alpha", "regularity", "entries", "alpha_plus_one_path", "provisional",
+    ]
+
+
 def test_alpha_plus_one_paths():
     r102 = betti_alpha_plus_one(Z102)
     assert (r102.value, r102.path, r102.flag) == (80, "injective", EXACT)
     r9 = betti_alpha_plus_one(Z9)
     assert (r9.value, r9.path) == (2, "decomposition")
     assert r9.components == (
-        (parse_class("12;6,4,4,4,4,4,4,3,2"), 8, SplittingType(6, 6)),
+        (parse_class("12;6,4,4,4,4,4,4,3,2"), 8, 8, SplittingType(6, 6)),
     )
     r616 = betti_alpha_plus_one(Z616)
     assert (r616.value, r616.path) == (154, "unique-section")

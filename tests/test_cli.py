@@ -159,7 +159,7 @@ def test_verify_cokernel_needs_prime_above_matrix_degree(capsys, method, prime, 
 
 def test_verify_cokernel_mismatch_exits_3(capsys, monkeypatch):
     def fake(e, m, p, seed, method, ceiling, splitting):
-        return MuVerdict(SplittingType(1, 2), 1, 2, method)
+        return MuVerdict(SplittingType(1, 2), 1, 2)
 
     monkeypatch.setattr("fatpt.cli.cok_dimension", fake)
     code = run(["verify-cokernel", "--class", "3;2,1,1,1,1,1,1", "--m", "3"])
@@ -364,6 +364,11 @@ GOLDEN_REPORTS = [
     ('predict-split --class 13;5,5,5,5,5,5,4,1,1,1,1', 0, "72dd8e731ef4dbb88d3adc7f2269157a813bac7b57983e539d69164fc0036ee1"),
     ('verify-cokernel --class 8;3,3,3,3,3,3,3,1,1 --m 5', 0, "a900ee1ab7a4d5e936e09ffbf65ba439d95ad42b1bff4a6c04880773ba5d31bf"),
     ('resolution --mults 77x7,44,11x3', 0, "033feb27f6332872147d134cea137c6a6f241d749259653dfc53ebb5a8058f44"),
+    # A verified sweep as TSV (the status column), and a class whose type
+    # is forced, through split and through predict-split's companion branch.
+    ('sweep --max-degree 14 --verify --format tsv', 0, "467c80dccd519a913c7812f619268d3d4cefb1bb32f2c396c698bb069a0166fa"),
+    ('split --class 3;2,1,1,1,1,1,1', 0, "3686f37fc4cab38e45474d8041dd1427fc1102ba1955dba865914c98db78cccb"),
+    ('predict-split --class 3;2,1,1,1,1,1,1', 0, "751b631864b228c28f6903ebb5893f98b6d67e9692b3679557b2545924e5047e"),
 ]
 
 

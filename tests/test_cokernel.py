@@ -437,8 +437,10 @@ def test_proven_case_boundaries():
 
 def test_every_forced_type_is_proven():
     # A forced type has a = d - max mult or b - a <= 1, so every m is proven;
-    # is_provisional is exactly the classes without one.
+    # is_provisional is exactly the classes without one, a class with no
+    # points included (its max mult is 0).
     for d in range(1, 81):
+        assert is_provisional(DivisorClass(d, ())) == (forced_type(d, 0) is None), d
         for mm in range(d + 1):
             st = forced_type(d, mm)
             assert is_provisional(DivisorClass(d, (mm,))) == (st is None), (d, mm)

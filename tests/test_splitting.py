@@ -223,7 +223,7 @@ def _reference_parametrize(e, pts, p):
     """Forms of the plane image of e through the points ``pts`` (an (n, 3)
     array), by the form route; raises _Rejected where a
     component vanishes or a degree drops."""
-    word, _ = line_reduction(e)
+    word = line_reduction(e)
     final, mats, reason = _replay_points_reference(word, pts, p)
     if reason:
         raise _Rejected(reason)
@@ -284,7 +284,7 @@ def _draws(e, p, seeds):
     """One draw of e per seed by the stacked route of ``compute_splittings``
     (``_draw`` with the word and the types it hands over): the type, or
     "degenerate"."""
-    word, cands = line_reduction(e)[0], candidate_pairs(e.t, max(e.m))
+    word, cands = line_reduction(e), candidate_pairs(e.t, max(e.m))
     draws = [(e, word, cands, s) for s in seeds]
     return [got if isinstance(got, SplittingType) else "degenerate" for got in _draw(draws, p)]
 
@@ -313,7 +313,7 @@ def test_parametrize_interpolates_multiplicities():
         assert len(_form_gcd(pulls[0], pulls[1], p)) - 1 == m, (i, m)
     # The point route samples the same curve: each point is a nonzero
     # multiple of phi at its parameter.
-    (t,), (pts,), _, reasons = parametrize([line_reduction(e)[0]], [config], e.t, p)
+    (t,), (pts,), _, reasons = parametrize([line_reduction(e)], [config], e.t, p)
     assert reasons == [None]
     assert len(t) == 11 == len(set(t.tolist()))
     for tj, pj in zip(t, pts):
@@ -349,7 +349,7 @@ def _both_reject(e, pts, p, monkeypatch):
         _reference_once(e, pts, p)
     monkeypatch.setattr(splitting, "draw_points", lambda n, p, seed: pts)
     assert _draws(e, p, [0]) == ["degenerate"]
-    return parametrize([line_reduction(e)[0]], [pts], e.t, p)[3][0] not in _FORWARD_REASONS
+    return parametrize([line_reduction(e)], [pts], e.t, p)[3][0] not in _FORWARD_REASONS
 
 
 def test_collinear_points_rejected_by_both_routes(monkeypatch):
@@ -634,7 +634,7 @@ def test_lockstep_replay_matches_each_class_alone(p):
     # agrees with the reference.
     d = 12
     classes = [e for e in _SPLIT_CLASSES if e.t == d]
-    words = [line_reduction(e)[0] for e in classes]
+    words = [line_reduction(e) for e in classes]
     assert len({e.n for e in classes}) > 3 and len({w.count(CREMONA) for w in words}) > 2
     rng = np.random.default_rng(p)
     members = []
@@ -683,7 +683,7 @@ def test_draw_straddles_a_chunk_boundary(monkeypatch):
     classes = [e for e in _RANDOMIZED_CLASSES if e.t == d]
     classes.insert(len(classes) // 2, next(e for e in _RANDOMIZED_CLASSES if e.t == d - 1))
     draws = [
-        (e, line_reduction(e)[0], candidate_pairs(e.t, max(e.m)), derive_seed(5, c, s))
+        (e, line_reduction(e), candidate_pairs(e.t, max(e.m)), derive_seed(5, c, s))
         for c, e in enumerate(classes)
         for s in range(10)
     ]
