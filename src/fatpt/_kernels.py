@@ -126,21 +126,21 @@ def _trailing(a: np.ndarray, p: int, r0: int, pc: np.ndarray, inv: np.ndarray, h
     of the pivot values from before scaling. With L the lower triangle they
     make (pivot values on the diagonal), the panel's steps would have taken
     the rows Q from r0 on to U_top = L11^-1 Q_top and Q_rest - L21 U_top.
-    L11 = D (I + Y) with Y strictly lower, hence nilpotent, so L11^-1 is
-    (I + Y)^-1 D^-1, and (I + Y)^-1 is the product of the I + (-Y)**(2**i)
-    for 2**i below the panel's pivot count: log2 of it small products.
-    Every product is over residues with inner dimension at most ``PANEL``,
-    so its sums stay below PANEL*(p-1)**2 + p; at every prime that takes
-    panels that leaves ``_mod`` its room below 2**53.
+    L11 = D (I + Y) with Y strictly lower, so L11^-1 = X D^-1 for the unit
+    triangle X = (I + Y)^-1, whose row j left of the diagonal an integer
+    forward substitution gives as -Y[j, :j] X[:j, :j] mod p. Its sums and
+    the two float64 products, over residues with inner dimension at most
+    ``PANEL``, stay below PANEL*(p-1)**2 + p: at every prime that takes
+    panels that is below 2**53, inside int64 and leaving ``_mod`` its room.
     """
     nb = pc.size
-    low = np.ascontiguousarray(a[r0:, pc], dtype=np.float64)
-    power = _mod(np.tril(low[:nb], -1) * -inv[:, None], p)  # -Y
-    solve = power + np.eye(nb)
-    for _ in range((nb - 1).bit_length() - 1):
-        power = _mod(power @ power, p)
-        solve = _mod(solve @ power + solve, p)
-    solve = _mod(solve * inv, p)  # (I + Y)^-1 D^-1 = L11^-1
+    lower = a[r0:, pc]
+    neg_y = -np.tril(lower[:nb], -1) * inv[:, None] % p
+    solve = np.eye(nb, dtype=np.int64)
+    for j in range(1, nb):
+        solve[j, :j] = neg_y[j, :j] @ solve[:j, :j] % p
+    solve = (solve * inv % p).astype(np.float64)  # X D^-1 = L11^-1
+    low = np.ascontiguousarray(lower, dtype=np.float64)
     # Row blocks of at most PRODUCT multiply-adds per product: OpenBLAS
     # runs those on the calling thread (see PRODUCT), and a block's float64
     # copy stays small.

@@ -8,7 +8,7 @@ and diagnostics go to stderr only, so redirected stdout is always a clean
 report.
 
 Exit codes: 0 success, 1 computation infeasible at the configured size
-ceiling, 2 invalid input, 3 conjecture violation detected.
+ceiling or out of retries, 2 invalid input, 3 conjecture violation detected.
 
 The same inputs (including --prime/--seed, or their FATPT_PRIME/FATPT_SEED
 environment fallbacks) produce byte-identical reports. Every JSON report

@@ -58,13 +58,14 @@ class Decomposition:
 
 def _chamber_free(t: int, m: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Degree and multiplicities (zero-padded to len(m)) of the free part of
-    an in-chamber class (multiplicities sorted descending).
+    an in-chamber terminal class of ``reduce``: its multiplicities are
+    sorted descending, and there are at least 3.
 
     Negative multiplicities are fixed exceptional curves E_i. When
     m_3 < 0 < m_2 the free part lives on the first two points only, and if
     then c = t - m_1 - m_2 < 0 the line through them is fixed -c times."""
     n = len(m)
-    if n < 3 or m[2] >= 0 or m[1] <= 0:
+    if m[2] >= 0 or m[1] <= 0:
         return t, tuple(v if v > 0 else 0 for v in m)
     c = min(t - m[0] - m[1], 0)
     return t + c, (m[0] + c, m[1] + c) + (0,) * (n - 2)
@@ -73,10 +74,10 @@ def _chamber_free(t: int, m: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 def _chamber_split(
     t: int, m: tuple[int, ...]
 ) -> tuple[DivisorClass, list[tuple[DivisorClass, int]], bool]:
-    """Split an in-chamber class (multiplicities sorted descending) into free
-    part and fixed components, in chamber coordinates."""
+    """Split a class as ``_chamber_free`` takes it into free part and fixed
+    components, in chamber coordinates."""
     n = len(m)
-    boundary = n >= 3 and m[1] == 0 and m[2] < 0
+    boundary = m[1] == 0 and m[2] < 0
     h = DivisorClass(*_chamber_free(t, m))
     comps = [(DivisorClass(1, (1, 1) + (0,) * (n - 2)), t - h.t)] if h.t < t else []
     for i in range(n):

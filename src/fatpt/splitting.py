@@ -134,9 +134,10 @@ def forced_type(d: int, m: int) -> SplittingType | None:
 
 def is_provisional(e: DivisorClass) -> bool:
     """Whether the type of the exceptional class e is drawn rather than
-    forced: its degree exceeds 2m+1, m the maximal multiplicity, exactly
-    when ``forced_type`` gives None."""
-    return e.t > 2 * max(e.m, default=0) + 1
+    forced: its degree exceeds 2m+1, m the maximal multiplicity taken at
+    least 0 (E_1 on one slot has only -1), exactly when ``forced_type``
+    gives None."""
+    return e.t > 2 * max((0, *e.m)) + 1
 
 
 def _inv3(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -482,6 +483,6 @@ def predict_report(
         )
     best = min(feasible, key=_score)
     rejected = tuple((st, _score(st)) for st in cands if _score(st) < ds)
-    provisional = any(e.t and is_provisional(e) for e in exceptional_points(w, c.n))
+    provisional = any(map(is_provisional, exceptional_points(w, c.n)))
     return SplitPrediction(best, ds, _score(best), rejected, provisional)
 

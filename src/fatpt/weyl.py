@@ -202,12 +202,13 @@ def enumerate_exceptional(max_degree: int) -> list[DivisorClass]:
                 # the largest kept value, vals[0] for a > 0 and vals[1] for
                 # b > 1. The test against vals[1] also drops (a, b) = (0, 1),
                 # where no c works: every node has t < v_0 + v_1 + v_2 (it is
-                # the root, or s_0 lowers it), so there low < v_2.
+                # the root, or s_0 lowers it), so there low < v_2. Past it,
+                # every vals[c] is below low: below vals[0] for a > 0, and for
+                # a = 0 below vals[1], as b > 1 is a first slot. So of the c
+                # window [low + t - D, low) only the lower end is tested.
                 if low < vals[1 if a == 0 else 0]:
                     continue
                 for c in [b + 1] + [i for i in firsts if i > b + 1]:
-                    if vals[c] >= low:  # the c window is [low + t - D, low)
-                        continue
                     t2 = low + t - vals[c]
                     if t2 > max_degree:
                         break

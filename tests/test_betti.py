@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -19,9 +20,10 @@ from fatpt.betti import (
 )
 from fatpt.cokernel import mu_rank_oracle
 from fatpt.errors import InputError
-from fatpt.lattice import DivisorClass, FatPointScheme, class_of, parse_class
+from fatpt.lattice import DivisorClass, FatPointScheme, class_of, intersect, parse_class
 from fatpt.linsys import alpha_degree, expected_h0
 from fatpt.splitting import SplittingType, derive_seed, is_provisional
+from fatpt.weyl import is_exceptional
 
 Z102 = FatPointScheme((50, 50, 38, 38, 26, 26, 22, 18, 14, 14))
 Z9 = FatPointScheme((48, 33, 33, 33, 32, 32, 32, 24, 16))
@@ -163,6 +165,26 @@ def test_routes_agree_random():
             assert bettibound_data(z, t).value() == expected_betti(z, t + 1).value, (z, t)
 
 
+def test_line_presentation_components_random():
+    # What line_presentation no longer checks holds by construction: the
+    # components are exceptional and pairwise orthogonal, and H.C_j = 0.
+    rng = np.random.default_rng(20260814)
+    pairs = 0
+    for _ in range(300):
+        n = int(rng.integers(4, 9))
+        z = FatPointScheme(tuple(sorted((int(v) for v in rng.integers(1, 7, n)), reverse=True)))
+        pres = line_presentation(z)
+        if pres is None:
+            continue
+        h, comps = pres
+        classes = [cls for cls, _ in comps]
+        assert all(is_exceptional(cls) and intersect(h, cls) == 0 for cls in classes), z
+        for i, j in itertools.combinations(range(len(classes)), 2):
+            assert intersect(classes[i], classes[j]) == 0, z
+            pairs += 1
+    assert pairs >= 10
+
+
 def test_interval_case_brackets_oracle():
     z = FatPointScheme((3, 3, 2, 1, 1))
     table = assemble_resolution(z)
@@ -170,6 +192,8 @@ def test_interval_case_brackets_oracle():
     assert ent.generators is None
     lo, hi = ent.generators_interval
     assert (lo, hi) == (0, 1)
+    # Interval cells have no ranks to add up: the check returns.
+    assert check_hilbert_consistency(table) is None
     for seed in (1, 2):
         rng = np.random.default_rng(derive_seed(seed, 5))
         pts = rng.integers(0, 31991, size=(z.n, 3), dtype=np.int64)

@@ -329,6 +329,7 @@ def test_reports_byte_identical(capsys):
 # seed, and one rejected input.
 GOLDEN_REPORTS = [
     ('hilbert --mults 5,5,4x3', 0, "dae019fdce309314f2cb82d1a63ea45f30977dff5811bc64d815bf61c7f11b20"),
+    ('hilbert --mults 5,5,4x3 --deg 5', 0, "00d04bb01525d42df1d40b83bb7a2d7a16183aca44edf9f0935cb05863e5c7e0"),
     ('hilbert --mults 77x7,44,11,11,11 --deg 208..211 --format tsv', 0, "e63f62ad0fd23e81fe5d063c72c399a97529778937025dfaafa5bb9ff5f4d3ae"),
     ('resolution --mults 48,33x3,32x3,24,16', 0, "fd6f4942e06422890b2053fed8070fbfd891e7939b7683a63df95e66f82a2101"),
     ('resolution --mults 3,3,2,1,1', 0, "5afc7543c90d8656553d3117c3f6e09c56b308121b0b136413f7108abb959201"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatpt.errors import InfeasibleError, InputError
-from fatpt.lattice import DivisorClass, intersect, line_class, parse_class, point_class
+from fatpt.lattice import DivisorClass, FatPointScheme, intersect, line_class, parse_class, point_class
 from fatpt import cokernel, splitting
 from fatpt._kernels import _forward, nullspace, rank
 from fatpt.cokernel import (
@@ -20,6 +20,7 @@ from fatpt.cokernel import (
     predicted_cokernel,
     proven_case,
 )
+from fatpt.linsys import expected_h0
 from fatpt.splitting import SplittingType, forced_type, is_provisional, splittings_of
 from fatpt.weyl import apply_word, enumerate_exceptional, reduction_to_point
 
@@ -438,7 +439,10 @@ def test_proven_case_boundaries():
 def test_every_forced_type_is_proven():
     # A forced type has a = d - max mult or b - a <= 1, so every m is proven;
     # is_provisional is exactly the classes without one, a class with no
-    # points included (its max mult is 0).
+    # points included (its max mult is 0). No point class E_i is drawn, on
+    # one slot (max mult -1) or more.
+    for n in range(1, 4):
+        assert not any(is_provisional(point_class(i, n)) for i in range(1, n + 1)), n
     for d in range(1, 81):
         assert is_provisional(DivisorClass(d, ())) == (forced_type(d, 0) is None), d
         for mm in range(d + 1):
@@ -569,6 +573,13 @@ def test_oracle_cap_refuses_large_instances():
     pts = rng.integers(1, 101, size=(2, 3), dtype=np.int64)
     with pytest.raises(InfeasibleError):
         mu_rank_oracle(pts, FatPointScheme((1, 1)), 70, 101, max_dim=100)
+
+
+def test_oracle_without_sections_in_degree_t():
+    # (2; 3, 3) has no curve, so the cokernel is all of degree 3: the
+    # triple line through the two points, expected_h0 of (3; 3, 3).
+    pts = np.random.default_rng(5).integers(0, 31991, size=(2, 3), dtype=np.int64)
+    assert mu_rank_oracle(pts, FatPointScheme((3, 3)), 2) == 1 == expected_h0(DivisorClass(3, (3, 3)))
 
 
 def test_oracle_route_refuses_oversized_interpolation():

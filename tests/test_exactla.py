@@ -71,9 +71,10 @@ def test_float_cap_and_panel_boundary(monkeypatch):
 
 def test_float_reduction():
     # _mod's inputs reach -PANEL*(p-1)**2 (a trailing row less a product)
-    # and PANEL*(p-1)**2 + p - 1 (a doubling step); at the largest panel
-    # prime those are the extremes. Anything with |x| + p < 2**53 reduces
-    # exactly; the last two need the upward and the downward correction.
+    # and PANEL*(p-1)**2 (a row of L11^-1 Q_top), here taken p - 1 further;
+    # at the largest panel prime those are the extremes. Anything with
+    # |x| + p < 2**53 reduces exactly; the last two need the upward and the
+    # downward correction.
     for p in (3, 103, 31991, PANEL_PRIME):
         top = PANEL * (p - 1) ** 2
         xs = [-top, -top + 1, -p * (top // p), -p, -1, 0, 1, p - 1, p, 2 * p - 1, top, top + p - 1]

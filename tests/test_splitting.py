@@ -675,6 +675,17 @@ def test_lockstep_replay_matches_each_class_alone(p):
         assert any(r and r.startswith("fewer than") for r in reasons)
 
 
+def test_draw_points_redraws_zero_rows():
+    # Over F_3 at seed 0, two of the twelve raw rows are zero; only those
+    # are drawn again.
+    raw = np.random.default_rng(0).integers(0, 3, size=(12, 3), dtype=np.int64)
+    zero = ~raw.any(axis=1)
+    assert zero.sum() == 2
+    pts = draw_points(12, 3, 0)
+    assert pts.any(axis=1).all()
+    assert (pts[~zero] == raw[~zero]).all()
+
+
 def test_draw_straddles_a_chunk_boundary(monkeypatch):
     # More draws than one chunk holds, chunks that split a class's seeds,
     # and a run of another degree between two runs of one: every draw gets
